@@ -116,18 +116,18 @@ func BenchmarkE9GeneralGraphs(b *testing.B) {
 // benchSweepWorkers regenerates E6 at its full default scale (sizes up to
 // n=4096, 20 random permutations each) with a fixed worker-pool size. The
 // Sequential/Sharded pair is the engine's headline: identical tables,
-// wall-clock divided by the core count. noAtlas pins the run to the
-// ball-builder path, the pre-atlas baseline the Atlas pair is measured
-// against; noKernels keeps the atlas but takes the per-vertex view path
-// instead of the flat decision kernels. The tables are byte-identical in
-// every configuration.
-func benchSweepWorkers(b *testing.B, workers int, noAtlas, noKernels bool) {
+// wall-clock divided by the core count. sweep.BackendBuilder pins the run
+// to the ball-builder path, the pre-atlas baseline the Atlas pair is
+// measured against; noKernels keeps the atlas but takes the per-vertex
+// view path instead of the flat decision kernels. The tables are
+// byte-identical in every configuration.
+func benchSweepWorkers(b *testing.B, workers int, backend sweep.Backend, noKernels bool) {
 	b.Helper()
 	e, err := experiments.Get("E6")
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := experiments.Config{Seed: 1, Workers: workers, NoAtlas: noAtlas, NoKernels: noKernels}
+	cfg := experiments.Config{Seed: 1, Workers: workers, Backend: string(backend), NoKernels: noKernels}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tab, err := e.Run(context.Background(), cfg)
@@ -143,38 +143,38 @@ func benchSweepWorkers(b *testing.B, workers int, noAtlas, noKernels bool) {
 // BenchmarkSweepE6Sequential is the full-size E6 sweep on one worker with
 // the atlas disabled — the old hand-rolled loop's execution model, kept as
 // the perf baseline.
-func BenchmarkSweepE6Sequential(b *testing.B) { benchSweepWorkers(b, 1, true, false) }
+func BenchmarkSweepE6Sequential(b *testing.B) { benchSweepWorkers(b, 1, sweep.BackendBuilder, false) }
 
 // BenchmarkSweepE6Sharded is the builder-path sweep sharded across all
 // cores; same seed, byte-identical table.
-func BenchmarkSweepE6Sharded(b *testing.B) { benchSweepWorkers(b, 0, true, false) }
+func BenchmarkSweepE6Sharded(b *testing.B) { benchSweepWorkers(b, 0, sweep.BackendBuilder, false) }
 
 // BenchmarkSweepE6AtlasSequential serves the same sweep from the shared
 // ball atlas on one worker: BFS layers are materialised once per size and
 // every trial shrinks to relabel + decide.
-func BenchmarkSweepE6AtlasSequential(b *testing.B) { benchSweepWorkers(b, 1, false, false) }
+func BenchmarkSweepE6AtlasSequential(b *testing.B) { benchSweepWorkers(b, 1, sweep.BackendAuto, false) }
 
 // BenchmarkSweepE6AtlasSharded combines every engine layer: flat decision
 // kernels over the shared atlas under the full worker pool — the headline
 // configuration the CI regression guard tracks.
-func BenchmarkSweepE6AtlasSharded(b *testing.B) { benchSweepWorkers(b, 0, false, false) }
+func BenchmarkSweepE6AtlasSharded(b *testing.B) { benchSweepWorkers(b, 0, sweep.BackendAuto, false) }
 
 // BenchmarkSweepE6AtlasNoKernels is the atlas WITHOUT the flat kernels —
 // the PR 2 execution model, kept as the A/B baseline the kernel speedup is
 // measured against (cmd/avgbench -nokernels is the CLI form).
-func BenchmarkSweepE6AtlasNoKernels(b *testing.B) { benchSweepWorkers(b, 0, false, true) }
+func BenchmarkSweepE6AtlasNoKernels(b *testing.B) { benchSweepWorkers(b, 0, sweep.BackendAuto, true) }
 
 // benchSweepRaw measures the sweep engine directly (no table rendering):
 // the pruning algorithm over random permutations of a 4096-cycle, 32
-// trials, with the atlas either forced off (builder baseline) or on.
-func benchSweepRaw(b *testing.B, workers int, noAtlas bool) {
+// trials, on the builder baseline or the default atlas backend.
+func benchSweepRaw(b *testing.B, workers int, backend sweep.Backend) {
 	b.Helper()
 	spec := sweep.Spec{
 		Seed:    9,
 		Sizes:   []int{4096},
 		Trials:  32,
 		Workers: workers,
-		NoAtlas: noAtlas,
+		Backend: backend,
 		Graph:   func(n int, _ *rand.Rand) (graph.Graph, error) { return graph.NewCycle(n) },
 		Alg:     func(int, ids.Assignment) local.ViewAlgorithm { return largestid.Pruning{} },
 	}
@@ -190,10 +190,10 @@ func benchSweepRaw(b *testing.B, workers int, noAtlas bool) {
 	}
 }
 
-func BenchmarkSweepRawSequential(b *testing.B)      { benchSweepRaw(b, 1, true) }
-func BenchmarkSweepRawSharded(b *testing.B)         { benchSweepRaw(b, 0, true) }
-func BenchmarkSweepRawAtlasSequential(b *testing.B) { benchSweepRaw(b, 1, false) }
-func BenchmarkSweepRawAtlasSharded(b *testing.B)    { benchSweepRaw(b, 0, false) }
+func BenchmarkSweepRawSequential(b *testing.B)      { benchSweepRaw(b, 1, sweep.BackendBuilder) }
+func BenchmarkSweepRawSharded(b *testing.B)         { benchSweepRaw(b, 0, sweep.BackendBuilder) }
+func BenchmarkSweepRawAtlasSequential(b *testing.B) { benchSweepRaw(b, 1, sweep.BackendAuto) }
+func BenchmarkSweepRawAtlasSharded(b *testing.B)    { benchSweepRaw(b, 0, sweep.BackendAuto) }
 
 // benchSweepImplicit measures the implicit backend directly: closed-form
 // ball synthesis (no adjacency, no atlas, no CSR) serving the flat pruning

@@ -13,31 +13,25 @@
 //	avgbench -e all -timeout 30s    # give up (with an error) after 30s
 //	avgbench -e E3 -csv             # machine-readable output
 //	avgbench -e all -json          	# machine-readable output, with metadata
-//	avgbench -e E6 -noatlas         # force the ball-builder path (perf bisection)
 //	avgbench -e E6 -nokernels       # keep the atlas, skip the flat decision kernels
 //	avgbench -e E11 -backend implicit    # closed-form ball synthesis: O(workers) memory at n=10^7
-//	avgbench -e E2 -backend builder      # pin any backend; tables are byte-identical across them
+//	avgbench -e E6 -backend builder      # force the ball-builder path (perf bisection); tables are byte-identical across backends
 //	avgbench -e E2 -streamids            # streaming Feistel identifier draws (a different, backend-invariant family)
 //	avgbench -e E10 -sizes 13,14 -quotient   # symmetry-quotient enumeration: bit-identical tables, n!/2n of the work
 //	avgbench -e E12                      # quotient vs full n! fold, diffed field by field
 //	avgbench -e E6 -cpuprofile cpu.pb.gz -memprofile mem.pb.gz
 //
-// Distributed runs (shardable experiments — those exposing their sweeps):
+// Distributed runs (experiments exposing their sweeps) are leased over a
+// shared store directory: start any number of executors against one store,
+// at any time; they lease grain-aligned trial ranges, steal straggler
+// tails, and re-execute dead workers' claims. Every executor that returns
+// prints the same bytes. A killed run resumes by running the executor
+// again — the store's completion records are its checkpoint:
 //
-//	avgbench -e E6 -shard 0/2 -out s0.json   # process 1 of 2
-//	avgbench -e E6 -shard 1/2 -out s1.json   # process 2 of 2
-//	sweepmerge s0.json s1.json               # byte-identical final table
-//	avgbench -e E6 -checkpoint e6.ckpt       # restartable: kill, rerun, resume
-//
-// Leased runs (work-stealing over a shared store directory): start any
-// number of executors against one store, at any time; they lease
-// grain-aligned trial ranges, steal straggler tails, and re-execute dead
-// workers' claims. Every executor that returns prints the same bytes:
-//
-//	avgbench -e E6 -store run/ -lease          # executor 1 (any machine)
+//	avgbench -e E6 -store run/ -lease          # executor 1
 //	avgbench -e E6 -store run/ -lease          # executor 2, started later
 //	sweepmerge -store run/                     # or merge without executing
-//	avgbench -e E6 -store run/ -shard 0/2      # static i-of-m lease schedule
+//	avgbench -e E6 -store run/ -shard 0/2      # static i-of-m schedule (no stealing)
 package main
 
 import (
@@ -77,17 +71,14 @@ func run(args []string) error {
 	asCSV := fs.Bool("csv", false, "emit CSV instead of aligned text")
 	asJSON := fs.Bool("json", false, "emit JSON (tables plus metadata)")
 	list := fs.Bool("list", false, "list experiments and exit")
-	noAtlas := fs.Bool("noatlas", false, "disable the shared ball-atlas fast path (identical tables, builder-path timing)")
 	noKernels := fs.Bool("nokernels", false, "disable the flat decision kernels over the atlas (identical tables, view-path timing)")
 	backendFlag := fs.String("backend", "", "sweep ball-sourcing backend: atlas, builder, or implicit (empty = auto; identical tables across backends)")
 	streamIDs := fs.Bool("streamids", false, "draw identifiers from the streaming Feistel permutation family instead of the buffered shuffle (different, backend-invariant tables)")
 	quotient := fs.Bool("quotient", false, "enumerate exhaustive sweeps over canonical orbit representatives only (symmetric families; bit-identical tables, n!/|G| of the work, lifts E10's size cap to 14)")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the runs to this file")
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile to this file after the runs")
-	shardFlag := fs.String("shard", "", "run only shard I/M (0-based, e.g. 0/2) of one shardable experiment; requires -out")
-	outFlag := fs.String("out", "", "file the shard's partial aggregates are written to (merge with sweepmerge)")
-	checkpoint := fs.String("checkpoint", "", "checkpoint file: progress is committed after every block and an interrupted run resumes from it (one shardable experiment)")
-	storeFlag := fs.String("store", "", "shared store directory for a leased run; executors pointing at the same store cooperate on one experiment (with -lease or -shard)")
+	shardFlag := fs.String("shard", "", "static lease schedule: execute only slice I/M (0-based, e.g. 0/2) of the run in -store; merge with sweepmerge -store")
+	storeFlag := fs.String("store", "", "shared store directory for a leased run; executors pointing at the same store cooperate on one experiment, and rerunning resumes it (with -lease or -shard)")
 	leaseFlag := fs.Bool("lease", false, "join the store's work-stealing leased run: lease uncovered trial ranges, steal straggler tails, print the merged table when the space is covered; requires -store")
 	workerFlag := fs.String("worker", "", "this executor's id in the leased run (default host-pid)")
 	grainsFlag := fs.Int("grains", 0, "grains each size's trial space is quantized into for leasing (0 = engine default; all executors of a run must agree)")
@@ -105,17 +96,14 @@ func run(args []string) error {
 	}
 
 	// Backend names fail fast, before any sweep starts, with the typed
-	// error; the NoAtlas conflict mirrors the engine's own validation.
+	// error.
 	backend, err := sweep.ParseBackend(*backendFlag)
 	if err != nil {
 		return err
 	}
-	if *noAtlas && backend != sweep.BackendAuto && backend != sweep.BackendBuilder {
-		return fmt.Errorf("-noatlas conflicts with -backend %s; drop one of the two", backend)
-	}
 
 	cfg := experiments.Config{Seed: *seed, Trials: *trials, Workers: *workers,
-		NoAtlas: *noAtlas, NoKernels: *noKernels, Backend: string(backend),
+		NoKernels: *noKernels, Backend: string(backend),
 		StreamIDs: *streamIDs, Quotient: *quotient}
 	if *sizesFlag != "" {
 		for _, part := range strings.Split(*sizesFlag, ",") {
@@ -140,48 +128,27 @@ func run(args []string) error {
 		selected = []experiments.Experiment{e}
 	}
 
-	// Distributed-mode flag discipline: sharding writes aggregates, not
-	// tables, and both sharding and checkpointing are per-experiment.
-	if *shardFlag == "" && *outFlag != "" {
-		return fmt.Errorf("-out only makes sense with -shard")
-	}
-	if *shardFlag != "" || *checkpoint != "" || *storeFlag != "" || *leaseFlag {
-		if len(selected) != 1 {
-			return fmt.Errorf("-shard/-checkpoint/-store/-lease need a single -e experiment, not %q", *expID)
-		}
-		if !selected[0].Shardable() {
-			return fmt.Errorf("%s does not expose its sweeps; it cannot run sharded, checkpointed or leased", selected[0].ID)
-		}
-	}
-	// Leased-mode flag discipline: the store replaces both the checkpoint
-	// (progress lives in per-grain completion records) and the shard file
-	// (sweepmerge -store collects from the store directly).
+	// Leased-mode flag discipline: the store is the one way to split or
+	// resume a run — progress lives in its per-grain completion records and
+	// sweepmerge -store collects from it directly.
 	if *leaseFlag && *storeFlag == "" {
 		return fmt.Errorf("-lease needs -store, the directory the executors share")
 	}
-	if *leaseFlag && *shardFlag != "" {
-		return fmt.Errorf("-lease (work stealing) and -shard (static split) are mutually exclusive schedules")
-	}
-	if *storeFlag != "" {
-		if !*leaseFlag && *shardFlag == "" {
-			return fmt.Errorf("-store needs a schedule: -lease (work stealing) or -shard I/M (static)")
-		}
-		if *checkpoint != "" {
-			return fmt.Errorf("-store and -checkpoint are mutually exclusive; leased progress is checkpointed in the store's completion records")
-		}
-		if *outFlag != "" {
-			return fmt.Errorf("-store and -out are mutually exclusive; merge a leased run with sweepmerge -store")
-		}
+	if *shardFlag != "" && *storeFlag == "" {
+		return fmt.Errorf("-shard needs -store, the directory the static executors share")
 	}
 	if *storeFlag == "" && (*workerFlag != "" || *grainsFlag != 0) {
 		return fmt.Errorf("-worker/-grains only make sense with -store")
 	}
-	if *shardFlag != "" && *storeFlag == "" {
-		if *outFlag == "" {
-			return fmt.Errorf("-shard needs -out to store the partial aggregates (or -store for a leased run)")
+	if *storeFlag != "" {
+		if len(selected) != 1 {
+			return fmt.Errorf("-store needs a single -e experiment, not %q", *expID)
 		}
-		if *asCSV || *asJSON {
-			return fmt.Errorf("-shard writes aggregates, not tables; drop -csv/-json and render via sweepmerge")
+		if !selected[0].Shardable() {
+			return fmt.Errorf("%s does not expose its sweeps; it cannot run leased", selected[0].ID)
+		}
+		if *leaseFlag == (*shardFlag != "") {
+			return fmt.Errorf("-store needs exactly one schedule: -lease (work stealing) or -shard I/M (static)")
 		}
 	}
 
@@ -234,7 +201,7 @@ func run(args []string) error {
 	// Dynamic executors (-lease) return only once the whole trial space is
 	// covered, so they can merge and print the final table themselves;
 	// static ones (-shard I/M) exit after their own slice and leave the
-	// merge to sweepmerge -store, like the shard-file flow.
+	// merge to sweepmerge -store.
 	if *storeFlag != "" {
 		st, err := sweep.NewDirStore(*storeFlag)
 		if err != nil {
@@ -283,42 +250,13 @@ func run(args []string) error {
 		return nil
 	}
 
-	// Shard mode: execute this process's slice of the trial space and
-	// write the partial aggregates; sweepmerge renders the final table
-	// once every shard file exists. RunShardToFile opens -out before the
-	// run (bad paths fail fast) and keeps any -checkpoint until the shard
-	// file is durably written, so a crash never strands completed work.
-	if *shardFlag != "" {
-		shard, err := parseShard(*shardFlag)
-		if err != nil {
-			return err
-		}
-		if err := experiments.RunShardToFile(ctx, selected[0], cfg, shard, *checkpoint, *outFlag); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "avgbench: %s shard %d/%d aggregates written to %s\n",
-			selected[0].ID, shard.Index, shard.Count, *outFlag)
-		return nil
-	}
-
 	var jsonOut []jsonTable
 
 	for _, e := range selected {
 		if !*asJSON {
 			fmt.Printf("== %s: %s\n   claim: %s\n", e.ID, e.Title, e.Claim)
 		}
-		var tab *experiments.Table
-		var err error
-		if *checkpoint != "" {
-			// The restartable path: identical bytes to e.Run, with progress
-			// committed after every block.
-			var results []*sweep.Result
-			if results, err = experiments.RunSweeps(ctx, e, cfg, sweep.Shard{}, *checkpoint); err == nil {
-				tab, err = e.Tabulate(cfg, results)
-			}
-		} else {
-			tab, err = e.Run(ctx, cfg)
-		}
+		tab, err := e.Run(ctx, cfg)
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.ID, err)
 		}

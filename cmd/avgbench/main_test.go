@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/sweep"
 )
 
 func TestRunSingleExperiment(t *testing.T) {
@@ -68,19 +69,19 @@ func TestRunUnknownIDFailsFastWithMenu(t *testing.T) {
 	}
 }
 
-// TestShardFlagValidation pins the distributed-mode flag discipline.
+// TestShardFlagValidation pins the static-schedule flag discipline: -shard
+// is a lease schedule over -store, and the retired shard-file and
+// checkpoint-file flags are gone.
 func TestShardFlagValidation(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "s.json")
+	dir := t.TempDir()
 	cases := [][]string{
-		{"-e", "E6", "-shard", "0/2"},                                 // no -out
-		{"-e", "E6", "-out", out},                                     // -out without -shard
-		{"-e", "E6", "-shard", "2/2", "-out", out},                    // index out of range
-		{"-e", "E6", "-shard", "0", "-out", out},                      // malformed
-		{"-e", "E6", "-shard", "x/2", "-out", out},                    // malformed
-		{"-e", "all", "-shard", "0/2", "-out", out},                   // needs one experiment
-		{"-e", "E3", "-shard", "0/2", "-out", out},                    // E3 not shardable
-		{"-e", "E6", "-shard", "0/2", "-out", out, "-csv"},            // tables come from sweepmerge
-		{"-e", "all", "-checkpoint", filepath.Join(t.TempDir(), "c")}, // checkpoint per experiment
+		{"-e", "E6", "-shard", "0/2"},                        // no -store
+		{"-e", "E6", "-store", dir, "-shard", "0"},           // malformed
+		{"-e", "E6", "-store", dir, "-shard", "x/2"},         // malformed
+		{"-e", "all", "-store", dir, "-shard", "0/2"},        // needs one experiment
+		{"-e", "E3", "-store", dir, "-shard", "0/2"},         // E3 not shardable
+		{"-e", "E6", "-shard", "0/2", "-out", "s.json"},      // shard files are gone
+		{"-e", "E6", "-checkpoint", filepath.Join(dir, "c")}, // checkpoint files are gone
 	}
 	for _, args := range cases {
 		if err := run(args); err == nil {
@@ -89,59 +90,41 @@ func TestShardFlagValidation(t *testing.T) {
 	}
 }
 
-// TestShardRunWritesMergeableFile: the full CLI path — two shard runs, one
-// merge — produces an experiment table from the partial files.
+// TestShardRunWritesMergeableFile: the static CLI path — two -shard
+// executors over one store — leaves records that merge to the
+// single-process table, and the store reports a typed gap until both ran.
 func TestShardRunWritesMergeableFile(t *testing.T) {
 	dir := t.TempDir()
-	s0, s1 := filepath.Join(dir, "s0.json"), filepath.Join(dir, "s1.json")
-	common := []string{"-e", "E6", "-sizes", "16,24", "-trials", "6", "-seed", "9"}
-	if err := run(append(common, "-shard", "0/2", "-out", s0)); err != nil {
+	common := []string{"-e", "E6", "-sizes", "16,24", "-trials", "6", "-seed", "9", "-store", dir}
+	if err := run(append(common, "-shard", "0/2", "-worker", "s0")); err != nil {
 		t.Fatalf("shard 0/2: %v", err)
 	}
-	if err := run(append(common, "-shard", "1/2", "-out", s1, "-workers", "3")); err != nil {
-		t.Fatalf("shard 1/2: %v", err)
-	}
-	var files []*experiments.ShardFile
-	for _, p := range []string{s0, s1} {
-		f, err := os.Open(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sf, err := experiments.ReadShardFile(f)
-		f.Close()
-		if err != nil {
-			t.Fatalf("%s: %v", p, err)
-		}
-		files = append(files, sf)
-	}
-	e, tab, err := experiments.MergeShards(files...)
+	e, err := experiments.Get("E6")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.ID != "E6" || len(tab.Rows) != 2 {
-		t.Errorf("merged %s table with %d rows, want E6 with 2", e.ID, len(tab.Rows))
+	cfg := experiments.Config{Seed: 9, Sizes: []int{16, 24}, Trials: 6}
+	st, err := sweep.NewDirStore(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// And the merged table equals the single-process one byte for byte.
-	want, err := e.Run(context.Background(),
-		experiments.Config{Seed: 9, Sizes: []int{16, 24}, Trials: 6})
+	var inc *sweep.IncompleteError
+	if _, err := experiments.MergeLeased(e, cfg, st); !errors.As(err, &inc) {
+		t.Fatalf("merge after one of two static shards: err = %v, want *sweep.IncompleteError", err)
+	}
+	if err := run(append(common, "-shard", "1/2", "-worker", "s1", "-workers", "3")); err != nil {
+		t.Fatalf("shard 1/2: %v", err)
+	}
+	tab, err := experiments.MergeLeased(e, cfg, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := e.Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want.Render() != tab.Render() {
-		t.Errorf("shard+merge table differs from single process\nwant:\n%s\ngot:\n%s", want.Render(), tab.Render())
-	}
-}
-
-// TestCheckpointFlag: a checkpointed run completes, prints, and removes
-// its checkpoint file.
-func TestCheckpointFlag(t *testing.T) {
-	ck := filepath.Join(t.TempDir(), "e6.ckpt")
-	if err := run([]string{"-e", "E6", "-sizes", "16", "-trials", "4", "-checkpoint", ck}); err != nil {
-		t.Fatalf("checkpointed run: %v", err)
-	}
-	if _, err := os.Stat(ck); !os.IsNotExist(err) {
-		t.Errorf("finished run left checkpoint behind (stat err=%v)", err)
+		t.Errorf("static shards table differs from single process\nwant:\n%s\ngot:\n%s", want.Render(), tab.Render())
 	}
 }
 
@@ -157,9 +140,12 @@ func TestRunWorkers(t *testing.T) {
 	}
 }
 
-func TestRunNoAtlas(t *testing.T) {
-	if err := run([]string{"-e", "E6", "-sizes", "16,32", "-trials", "3", "-noatlas"}); err != nil {
-		t.Errorf("noatlas: %v", err)
+func TestRunBuilderBackend(t *testing.T) {
+	if err := run([]string{"-e", "E6", "-sizes", "16,32", "-trials", "3", "-backend", "builder"}); err != nil {
+		t.Errorf("builder backend: %v", err)
+	}
+	if err := run([]string{"-e", "E6", "-sizes", "16", "-noatlas"}); err == nil {
+		t.Error("retired -noatlas accepted")
 	}
 }
 

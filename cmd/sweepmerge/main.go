@@ -1,36 +1,29 @@
-// Command sweepmerge folds the partial aggregates written by
-// `avgbench -e <ID> -shard i/m -out shard.json` into the experiment's
-// final table. Given the complete shard set of one (experiment, config)
-// run — every index 0..m-1 exactly once — the merged table is byte-
-// identical to the one a single `avgbench -e <ID>` process prints: the
-// engine's aggregate merge is deterministic and tie-broken by trial index
-// exactly like the in-process fold.
+// Command sweepmerge folds a leased run's per-grain completion records
+// (avgbench -e <ID> -store DIR -lease, or the static -store DIR -shard i/m)
+// into the experiment's final table without executing anything. The store
+// is self-describing — each run's manifest names the experiment and config
+// — so the merge needs only the directory. Once the run's trial space is
+// covered, the merged table is byte-identical to the one a single
+// `avgbench -e <ID>` process prints: the engine's aggregate merge is
+// deterministic and tie-broken by trial index exactly like the in-process
+// fold.
 //
 // Usage:
 //
-//	avgbench -e E6 -shard 0/2 -out s0.json
-//	avgbench -e E6 -shard 1/2 -out s1.json
-//	sweepmerge s0.json s1.json          # == avgbench -e E6
-//	sweepmerge -csv s0.json s1.json     # machine-readable, like avgbench -csv
-//	sweepmerge -json s0.json s1.json    # metadata + table, like avgbench -json
+//	sweepmerge -store run/                     # the store's one leased run
+//	sweepmerge -store run/ -run E6             # the store's one E6 run
+//	sweepmerge -store run/ -run e6-1f2e…       # one run by its key (a directory under run/lease/)
+//	sweepmerge -store run/ -csv                # machine-readable, like avgbench -csv
+//	sweepmerge -store run/ -json               # metadata + table, like avgbench -json
 //
-// It also merges leased runs (avgbench -store DIR -lease / -shard): the
-// store is self-describing — its manifest names the experiment and config
-// — so the merge needs only the directory:
-//
-//	sweepmerge -store run/              # the store's one leased run
-//	sweepmerge -store run/ -run E6      # disambiguate a multi-run store
-//
-// Mismatched inputs — different experiments, seeds, sizes or shard counts,
-// duplicate or missing indices, overlapping trial-range claims, corrupted
-// or mis-versioned files, incomplete leased runs — are rejected with a
-// descriptive error before anything is merged.
+// Incomplete runs fail with exit 2 (start or finish executors, then merge
+// again); overlapping or corrupt records fail with exit 3 naming the
+// offending record.
 package main
 
 import (
 	"encoding/csv"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -54,53 +47,21 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("sweepmerge", flag.ContinueOnError)
 	asCSV := fs.Bool("csv", false, "emit CSV instead of aligned text")
 	asJSON := fs.Bool("json", false, "emit JSON (table plus metadata)")
-	storeFlag := fs.String("store", "", "merge a leased run from this store directory instead of shard files")
-	runFlag := fs.String("run", "", "experiment ID of the leased run to merge, when the store holds several")
+	storeFlag := fs.String("store", "", "store directory holding the leased run to merge (required)")
+	runFlag := fs.String("run", "", "experiment ID or run key (directory name under lease/) of the run to merge, when the store holds several")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *asCSV && *asJSON {
 		return fmt.Errorf("-csv and -json are mutually exclusive")
 	}
-	paths := fs.Args()
-	if *runFlag != "" && *storeFlag == "" {
-		return fmt.Errorf("-run only makes sense with -store")
+	if *storeFlag == "" {
+		return fmt.Errorf("-store is required: the directory the leased run's executors share")
 	}
-
-	var (
-		e   experiments.Experiment
-		tab *experiments.Table
-		err error
-	)
-	if *storeFlag != "" {
-		if len(paths) != 0 {
-			return fmt.Errorf("-store and shard files are mutually exclusive inputs")
-		}
-		e, tab, err = mergeStore(*storeFlag, *runFlag)
-	} else {
-		if len(paths) == 0 {
-			return fmt.Errorf("no shard files given (or use -store for a leased run)")
-		}
-		files := make([]*experiments.ShardFile, len(paths))
-		for i, p := range paths {
-			f, oerr := os.Open(p)
-			if oerr != nil {
-				return oerr
-			}
-			sf, rerr := experiments.ReadShardFile(f)
-			f.Close()
-			if rerr != nil {
-				// The codec only saw a reader; name the file for it.
-				var dec *sweep.DecodeError
-				if errors.As(rerr, &dec) && dec.Key == "" {
-					dec.Key = p
-				}
-				return fmt.Errorf("%s: %w", p, rerr)
-			}
-			files[i] = sf
-		}
-		e, tab, err = experiments.MergeShards(files...)
+	if fs.NArg() != 0 {
+		return fmt.Errorf("unexpected arguments %v; sweepmerge merges a leased run from -store", fs.Args())
 	}
+	e, tab, err := mergeStore(*storeFlag, *runFlag)
 	if err != nil {
 		return err
 	}
@@ -128,9 +89,9 @@ func run(args []string) error {
 }
 
 // mergeStore collects a leased run from a store directory. The store's
-// manifests say what it holds; runID (an experiment ID) narrows the choice
-// when executors for several experiments shared one directory.
-func mergeStore(dir, runID string) (experiments.Experiment, *experiments.Table, error) {
+// manifests say what it holds; sel (an experiment ID or a run key) narrows
+// the choice when executors for several runs shared one directory.
+func mergeStore(dir, sel string) (experiments.Experiment, *experiments.Table, error) {
 	var none experiments.Experiment
 	st, err := sweep.NewDirStore(dir)
 	if err != nil {
@@ -140,10 +101,10 @@ func mergeStore(dir, runID string) (experiments.Experiment, *experiments.Table, 
 	if err != nil {
 		return none, nil, err
 	}
-	if runID != "" {
+	if sel != "" {
 		matched := runs[:0]
 		for _, r := range runs {
-			if strings.EqualFold(r.Experiment, runID) {
+			if strings.EqualFold(r.Manifest.Experiment, sel) || r.Key() == sel {
 				matched = append(matched, r)
 			}
 		}
@@ -151,23 +112,24 @@ func mergeStore(dir, runID string) (experiments.Experiment, *experiments.Table, 
 	}
 	switch len(runs) {
 	case 0:
-		if runID != "" {
-			return none, nil, fmt.Errorf("%s holds no leased %s run", dir, runID)
+		if sel != "" {
+			return none, nil, fmt.Errorf("%s holds no leased run matching %q", dir, sel)
 		}
 		return none, nil, fmt.Errorf("%s holds no leased runs", dir)
 	case 1:
 	default:
-		var ids []string
-		for _, r := range runs {
-			ids = append(ids, r.Experiment)
+		keys := make([]string, len(runs))
+		for i, r := range runs {
+			keys[i] = r.Key()
 		}
-		return none, nil, fmt.Errorf("%s holds %d leased runs (%s); pick one with -run", dir, len(runs), strings.Join(ids, ", "))
+		return none, nil, fmt.Errorf("%s holds %d leased runs (%s); pick one by key with -run", dir, len(runs), strings.Join(keys, ", "))
 	}
-	e, err := experiments.Get(runs[0].Experiment)
+	r := runs[0]
+	e, err := experiments.Get(r.Manifest.Experiment)
 	if err != nil {
 		return none, nil, err
 	}
-	tab, err := experiments.MergeLeased(e, runs[0].Config, st)
+	tab, err := experiments.MergeLeased(e, r.Manifest.Config, st)
 	if err != nil {
 		return none, nil, err
 	}

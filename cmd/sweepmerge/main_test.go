@@ -4,83 +4,116 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/experiments"
 	"repro/internal/sweep"
 )
 
-// runAvgbenchShard produces one shard file exactly the way
-// `avgbench -e E6 -shard i/m -out path` does.
-func runAvgbenchShard(t *testing.T, i, m int, path string) error {
+// leaseE6 runs E6 at seed into the store directory the way
+// `avgbench -e E6 -store dir` does: dynamically when static is zero, as
+// one static slice otherwise.
+func leaseE6(t *testing.T, dir string, seed int64, static sweep.Shard) experiments.Config {
 	t.Helper()
 	e, err := experiments.Get("E6")
 	if err != nil {
-		return err
+		t.Fatal(err)
 	}
-	cfg := experiments.Config{Seed: 4, Sizes: []int{16, 24}, Trials: 6}
-	sf, err := experiments.RunShard(context.Background(), e, cfg, sweep.Shard{Index: i, Count: m}, "")
+	st, err := sweep.NewDirStore(dir)
 	if err != nil {
-		return err
+		t.Fatal(err)
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+	cfg := experiments.Config{Seed: seed, Sizes: []int{16, 24}, Trials: 6}
+	opts := sweep.LeaseOptions{Worker: "w", GrainsPerSize: 4, Static: static}
+	if _, err := experiments.RunLeasedSweeps(context.Background(), e, cfg, st, opts); err != nil {
+		t.Fatalf("lease E6 seed %d: %v", seed, err)
 	}
-	defer f.Close()
-	return experiments.WriteShardFile(f, sf)
-}
-
-// writeShards runs an experiment as m avgbench-style shard processes by
-// calling the experiments layer the way cmd/avgbench does, returning the
-// shard file paths. (The avgbench binary itself is exercised by its own
-// tests; here the files are what matters.)
-func writeShards(t *testing.T, dir string, m int) []string {
-	t.Helper()
-	paths := make([]string, m)
-	for i := 0; i < m; i++ {
-		paths[i] = filepath.Join(dir, "shard"+string(rune('0'+i))+".json")
-		if err := runAvgbenchShard(t, i, m, paths[i]); err != nil {
-			t.Fatalf("shard %d/%d: %v", i, m, err)
-		}
-	}
-	return paths
+	return cfg
 }
 
 func TestMergeRejectsMissingAndBadInput(t *testing.T) {
+	dir := t.TempDir()
 	if err := run(nil); err == nil {
-		t.Error("no inputs accepted")
+		t.Error("no -store accepted")
 	}
-	if err := run([]string{"-csv", "-json", "x.json"}); err == nil {
+	if err := run([]string{"-csv", "-json", "-store", dir}); err == nil {
 		t.Error("-csv with -json accepted")
 	}
-	if err := run([]string{filepath.Join(t.TempDir(), "absent.json")}); err == nil {
-		t.Error("missing file accepted")
+	if err := run([]string{"-store", dir, "s0.json"}); err == nil {
+		t.Error("positional shard file accepted")
 	}
-	bad := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(bad, []byte("{corrupted"), 0o644); err != nil {
+	if err := run([]string{"-store", dir}); err == nil || !strings.Contains(err.Error(), "no leased runs") {
+		t.Errorf("empty store: err = %v, want no leased runs", err)
+	}
+	leaseE6(t, dir, 1, sweep.Shard{})
+	if err := run([]string{"-store", dir, "-run", "E2"}); err == nil {
+		t.Error("-run naming an absent experiment accepted")
+	}
+	manifest := filepath.Join(dir, "lease", "garbage", "manifest")
+	if err := os.MkdirAll(filepath.Dir(manifest), 0o777); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{bad}); err == nil {
-		t.Error("corrupted file accepted")
+	if err := os.WriteFile(manifest, []byte("{corrupted"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-store", dir}); err != nil {
+		t.Errorf("torn foreign manifest should be skipped: %v", err)
 	}
 }
 
+// TestMergeShardSet: a store filled by static shards merges once every
+// slice ran, in every output format, and not before.
 func TestMergeShardSet(t *testing.T) {
-	paths := writeShards(t, t.TempDir(), 2)
-	if err := run(paths); err != nil {
-		t.Fatalf("merge: %v", err)
-	}
-	if err := run([]string{"-csv", paths[0], paths[1]}); err != nil {
-		t.Fatalf("csv merge: %v", err)
-	}
-	if err := run([]string{"-json", paths[0], paths[1]}); err != nil {
-		t.Fatalf("json merge: %v", err)
-	}
-	if err := run([]string{paths[0]}); err == nil {
+	dir := t.TempDir()
+	leaseE6(t, dir, 4, sweep.Shard{Index: 0, Count: 2})
+	if err := run([]string{"-store", dir}); err == nil {
 		t.Error("incomplete shard set accepted")
 	}
-	if err := run([]string{paths[0], paths[0]}); err == nil {
-		t.Error("duplicate shard accepted")
+	leaseE6(t, dir, 4, sweep.Shard{Index: 1, Count: 2})
+	for _, args := range [][]string{{"-store", dir}, {"-store", dir, "-csv"}, {"-store", dir, "-json"}} {
+		if err := run(args); err != nil {
+			t.Fatalf("merge %v: %v", args, err)
+		}
+	}
+}
+
+// TestMergeStorePicksRunByKey: two runs of one experiment at different
+// seeds share a store. -run with the experiment ID is ambiguous and the
+// error lists the run keys; -run with a key merges exactly that run.
+func TestMergeStorePicksRunByKey(t *testing.T) {
+	dir := t.TempDir()
+	cfgs := []experiments.Config{leaseE6(t, dir, 1, sweep.Shard{}), leaseE6(t, dir, 2, sweep.Shard{})}
+	e, err := experiments.Get("E6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, len(cfgs))
+	for i, cfg := range cfgs {
+		keys[i] = strings.TrimPrefix(experiments.LeaseRunPrefix(e, cfg), "lease/")
+	}
+
+	err = run([]string{"-store", dir, "-run", "E6"})
+	if err == nil {
+		t.Fatal("ambiguous -run E6 accepted")
+	}
+	for _, k := range keys {
+		if !strings.Contains(err.Error(), k) {
+			t.Errorf("ambiguity error %q does not list run key %s", err, k)
+		}
+	}
+
+	for i, cfg := range cfgs {
+		want, err := e.Run(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, got, err := mergeStore(dir, keys[i])
+		if err != nil {
+			t.Fatalf("-run %s: %v", keys[i], err)
+		}
+		if got.Render() != want.Render() {
+			t.Errorf("-run %s merged the wrong run\nwant:\n%s\ngot:\n%s", keys[i], want.Render(), got.Render())
+		}
 	}
 }

@@ -27,10 +27,6 @@ const (
 	// claims (*sweep.OverlapError) or records that fail decoding
 	// (*sweep.DecodeError).
 	ExitCorrupt = 3
-	// ExitUnreachable marks a network fault: the coordinator or store
-	// endpoint could not be reached (*sweep.UnreachableError). The data is
-	// presumed fine — retry once the network or the coordinator is back.
-	ExitUnreachable = 4
 )
 
 // Report prints err to w as "tool: err" plus its unwrap chain and a typed
@@ -44,7 +40,6 @@ func Report(w io.Writer, tool string, err error) int {
 	var inc *sweep.IncompleteError
 	var ov *sweep.OverlapError
 	var dec *sweep.DecodeError
-	var un *sweep.UnreachableError
 	var impl *sweep.ImplicitUnsupportedError
 	var ub *sweep.UnknownBackendError
 	var quo *sweep.QuotientUnsupportedError
@@ -92,13 +87,6 @@ func Report(w io.Writer, tool string, err error) int {
 		}
 		fmt.Fprintf(w, " (exit %d)\n", ExitCorrupt)
 		return ExitCorrupt
-	case errors.As(err, &un):
-		fmt.Fprintf(w, "%s: diagnosis: network fault — store endpoint unreachable", tool)
-		if un.URL != "" {
-			fmt.Fprintf(w, " at %q", un.URL)
-		}
-		fmt.Fprintf(w, "; the data is presumed intact: check the coordinator and the network, then retry (exit %d)\n", ExitUnreachable)
-		return ExitUnreachable
 	}
 	return ExitFailure
 }

@@ -32,18 +32,9 @@ func TestReportClassifiesAndNamesOffenders(t *testing.T) {
 		},
 		{
 			name:     "decode is corrupt and names the file",
-			err:      fmt.Errorf("s1.json: %w", &sweep.DecodeError{Format: "shardfile", Reason: "bad json", Key: "s1.json"}),
+			err:      fmt.Errorf("collect: %w", &sweep.DecodeError{Format: sweep.FormatCompletion, Reason: "bad json", Key: "lease/e6-abc/s0/done/0-0"}),
 			wantCode: ExitCorrupt,
-			wantSubs: []string{"failed decoding", `"s1.json"`},
-		},
-		{
-			name: "unreachable endpoint is a network fault naming the URL",
-			err: fmt.Errorf("sweepworker: assignment E6: %w", sweep.Transient(
-				&sweep.UnreachableError{URL: "http://coord:8350/store/lease/e6-ff/s0/plan",
-					Err: errors.New("connection refused")})),
-			wantCode: ExitUnreachable,
-			wantSubs: []string{"network fault", `"http://coord:8350/store/lease/e6-ff/s0/plan"`,
-				"caused by: sweep: store endpoint", "retry"},
+			wantSubs: []string{"failed decoding", `"lease/e6-abc/s0/done/0-0"`},
 		},
 		{
 			name: "implicit-unsupported is configuration and lists qualifying families",
@@ -79,9 +70,9 @@ func TestReportClassifiesAndNamesOffenders(t *testing.T) {
 		},
 		{
 			name:     "anything else is generic",
-			err:      errors.New("no shard files given"),
+			err:      errors.New("store holds no leased runs"),
 			wantCode: ExitFailure,
-			wantSubs: []string{"no shard files given"},
+			wantSubs: []string{"store holds no leased runs"},
 		},
 	}
 	for _, tc := range cases {

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/algorithms/coloring"
 	"repro/internal/algorithms/largestid"
@@ -14,7 +15,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/ids"
 	"repro/internal/local"
-	"repro/internal/sweep"
 )
 
 // TestPruningRadiiMatchEngine pins the closed form to the simulator: both
@@ -226,43 +226,6 @@ func TestPruningRadiiEmpty(t *testing.T) {
 	}
 }
 
-// TestDistributionShardedMergeIdentical: splitting the n! rank space into
-// m plan shards and merging the partial Stats reproduces the unsharded
-// enumeration byte for byte — exact ground truth can cross processes.
-func TestDistributionShardedMergeIdentical(t *testing.T) {
-	const n = 6
-	c := graph.MustCycle(n)
-	alg := func(int, ids.Assignment) local.ViewAlgorithm { return largestid.Pruning{} }
-	want, err := Distribution(context.Background(), c, alg, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range []int{2, 3, 4} {
-		merged := Stats{N: n}
-		for i := 0; i < m; i++ {
-			part, err := Distribution(context.Background(), c, alg,
-				Options{Shard: sweep.Shard{Index: i, Count: m}, Workers: 1 + i})
-			if err != nil {
-				t.Fatalf("shard %d/%d: %v", i, m, err)
-			}
-			if merged, err = merged.Merge(part); err != nil {
-				t.Fatalf("merge shard %d/%d: %v", i, m, err)
-			}
-		}
-		if !reflect.DeepEqual(want, merged) {
-			t.Errorf("m=%d: sharded enumeration diverges\nwant %+v\ngot  %+v", m, want, merged)
-		}
-	}
-	// Mismatched instances must refuse to merge; sharded CycleStats must
-	// refuse to run at all.
-	if _, err := want.Merge(Stats{N: n + 1, Perms: 1}); err == nil {
-		t.Error("cross-instance merge accepted")
-	}
-	if _, err := CycleStats(context.Background(), n, Options{Shard: sweep.Shard{Index: 0, Count: 2}}); err == nil {
-		t.Error("sharded CycleStats accepted")
-	}
-}
-
 // TestDistributionQuotientBitIdentical: for families declaring their
 // automorphism group, the auto-routed quotient enumeration returns Stats
 // bit-for-bit identical to the pinned full n! fold — every field,
@@ -296,8 +259,8 @@ func TestDistributionQuotientBitIdentical(t *testing.T) {
 // TestDistributionEnumerationCaps pins the two ceilings: the full fold
 // stops at MaxFullEnumerationN (no-symmetry families and NoQuotient runs),
 // the quotient path carries symmetric families to MaxEnumerationN — and a
-// beyond-full-cap cycle actually executes through the quotient (a thin
-// shard keeps the test fast).
+// beyond-full-cap cycle is admitted and starts executing through the
+// quotient (a short deadline keeps the test fast).
 func TestDistributionEnumerationCaps(t *testing.T) {
 	ctx := context.Background()
 	alg := func(int, ids.Assignment) local.ViewAlgorithm { return largestid.Pruning{} }
@@ -317,13 +280,9 @@ func TestDistributionEnumerationCaps(t *testing.T) {
 	if _, err := Distribution(ctx, graph.MustCycle(MaxEnumerationN+1), alg, Options{}); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("cycle n=%d: err = %v, want ErrTooLarge", MaxEnumerationN+1, err)
 	}
-	st, err := Distribution(ctx, c, alg,
-		Options{Shard: sweep.Shard{Index: 0, Count: 1 << 20}, Workers: 2})
-	if err != nil {
-		t.Fatalf("quotient cycle n=%d: %v", over, err)
-	}
-	if st.Perms <= 0 || st.Perms%int64(2*over) != 0 {
-		t.Errorf("thin quotient shard at n=%d folded Perms=%d, want a positive multiple of |G|=%d",
-			over, st.Perms, 2*over)
+	short, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
+	defer cancel()
+	if _, err := Distribution(short, c, alg, Options{Workers: 2}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("quotient cycle n=%d: err = %v, want the deadline to cut the admitted enumeration", over, err)
 	}
 }

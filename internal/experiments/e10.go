@@ -46,14 +46,14 @@ func e10Sizes(cfg Config) (sizes []int, clamped bool) {
 }
 
 // e10 closes the validation ladder: the EXACT ground truth — every one of
-// the n! identifier permutations, enumerated as plan shards of the sweep
-// engine — against the Monte-Carlo estimates the large-n experiments rely
+// the n! identifier permutations, enumerated as contiguous rank blocks of
+// the sweep engine — against the Monte-Carlo estimates the large-n experiments rely
 // on. The exact side is cross-checked against the §2 recurrence during
 // tabulation, so one table ties all three layers (analytic, exact, sampled)
 // together: the sampled worst can only fall below the true worst
 // (worstGap >= 0, a hard identity), and the sampled mean must land within
 // sampling error of the true §4 expectation. Both sides are plain engine
-// sweeps, so E10 shards across processes like every other
+// sweeps, so E10 leases across executors like every other
 // Sweeps/Tabulate experiment — including the n! enumeration.
 func e10() Experiment {
 	return Experiment{
@@ -67,13 +67,12 @@ func e10() Experiment {
 
 			// Sweep 0: exhaustive engine enumeration — the n! rank space
 			// splits into the same contiguous blocks sampled trials use, so
-			// it shards and checkpoints like any other sweep.
+			// it leases and resumes like any other sweep.
 			ex := sweep.Spec{
 				Seed:       cfg.Seed,
 				Sizes:      sizes,
 				Exhaustive: true,
 				Workers:    cfg.Workers,
-				NoAtlas:    cfg.NoAtlas,
 				NoKernels:  cfg.NoKernels,
 				Graph:      cycle,
 				Alg:        pruning,
@@ -84,7 +83,6 @@ func e10() Experiment {
 				Sizes:     sizes,
 				Trials:    trialsOrDefault(cfg, 2000),
 				Workers:   cfg.Workers,
-				NoAtlas:   cfg.NoAtlas,
 				NoKernels: cfg.NoKernels,
 				Graph:     cycle,
 				Alg:       pruning,

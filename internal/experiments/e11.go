@@ -28,7 +28,7 @@ func e11() Experiment {
 		Claim: "§2: \"the average radius is logarithmic in n\" — extended to sizes served by closed-form ball synthesis",
 		Sweeps: func(cfg Config) ([]sweep.Spec, error) {
 			spec := cycleSpec(cfg, []int{100000, 1000000, 10000000}, 3)
-			if cfg.Backend == "" && !cfg.NoAtlas {
+			if cfg.Backend == "" {
 				// The default atlas would materialise O(n · ball) state per
 				// size; at E11's sizes that is the wrong default. expandSweeps
 				// leaves a pinned backend alone, so -backend still overrides.

@@ -57,7 +57,6 @@ func e12() Experiment {
 				Sizes:      sizes,
 				Exhaustive: true,
 				Workers:    cfg.Workers,
-				NoAtlas:    cfg.NoAtlas,
 				NoKernels:  cfg.NoKernels,
 				Graph:      func(n int, _ *rand.Rand) (graph.Graph, error) { return graph.NewCycle(n) },
 				Alg:        func(int, ids.Assignment) local.ViewAlgorithm { return largestid.Pruning{} },

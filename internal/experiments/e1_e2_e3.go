@@ -23,7 +23,7 @@ func verifyLargestID(g graph.Graph, a ids.Assignment, res *local.Result) error {
 // e1 reproduces the worst-case claim of §2: the largest-ID problem has
 // linear classic complexity — the maximum-ID vertex must see the whole
 // cycle, radius floor(n/2), under EVERY permutation. Split into
-// Sweeps/Tabulate so the sweep can shard across processes; the registry
+// Sweeps/Tabulate so the sweep can lease across executors; the registry
 // derives Run from the pair.
 func e1() Experiment {
 	return Experiment{

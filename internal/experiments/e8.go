@@ -91,7 +91,6 @@ func runSynthesized(ctx context.Context, cfg Config, s int) (string, error) {
 		Sizes:     []int{n},
 		Trials:    1,
 		Workers:   cfg.Workers,
-		NoAtlas:   cfg.NoAtlas,
 		NoKernels: cfg.NoKernels,
 		Graph:     func(n int, _ *rand.Rand) (graph.Graph, error) { return graph.NewCycle(n) },
 		Assign:    assignFixed(func(n int) (ids.Assignment, error) { return ids.Identity(n), nil }),

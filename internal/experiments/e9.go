@@ -72,7 +72,6 @@ func e9() Experiment {
 					Sizes:     f.sizes,
 					Trials:    trials,
 					Workers:   cfg.Workers,
-					NoAtlas:   cfg.NoAtlas,
 					NoKernels: cfg.NoKernels,
 					Graph:     f.build,
 					Alg:       func(int, ids.Assignment) local.ViewAlgorithm { return largestid.Pruning{} },

@@ -14,10 +14,10 @@ import (
 
 // Config tunes an experiment run. The zero value plus a seed gives the
 // defaults used in EXPERIMENTS.md; benchmarks use reduced sizes. The JSON
-// tags make a Config part of the shard/checkpoint file identity
-// (distributed.go): two processes cooperating on one table must present
-// equal result-affecting fields (Seed, Sizes, Trials — Workers and the
-// perf toggles never change bytes and are ignored by the comparison).
+// tags make a Config part of a leased run's identity (leased.go): two
+// executors cooperating on one table must present equal result-affecting
+// fields (Seed, Sizes, Trials, ... — Workers, Backend and NoKernels never
+// change bytes and are ignored by the comparison).
 type Config struct {
 	// Seed drives all randomness; equal seeds reproduce tables exactly,
 	// independent of Workers.
@@ -29,28 +29,24 @@ type Config struct {
 	Trials int `json:"trials,omitempty"`
 	// Workers bounds the sweep worker pool (0 = GOMAXPROCS).
 	Workers int `json:"workers,omitempty"`
-	// NoAtlas disables the sweep engine's shared per-size ball atlas.
-	// Tables are byte-identical either way; the toggle exists for
-	// benchmarking the fast path against the builder baseline and for
-	// bisecting perf regressions.
-	NoAtlas bool `json:"noAtlas,omitempty"`
 	// NoKernels pins atlas-backed runs to the per-vertex view path instead
 	// of the flat decision kernels. Tables are byte-identical either way;
-	// like NoAtlas it exists for A/B profiling (avgbench -nokernels).
+	// it exists for A/B profiling (avgbench -nokernels).
 	NoKernels bool `json:"noKernels,omitempty"`
 	// Backend names the sweep ball-sourcing backend ("", "atlas",
 	// "builder", "implicit" — see sweep.Backend). Tables are byte-identical
-	// across backends, so like the toggles above it never changes result
-	// bytes; the implicit backend is what fits n = 10^6..10^8 sweeps in
-	// O(workers) memory (avgbench -backend).
+	// across backends, so like NoKernels it never changes result bytes; the
+	// builder backend is the baseline the atlas fast path is measured
+	// against, and the implicit backend is what fits n = 10^6..10^8 sweeps
+	// in O(workers) memory (avgbench -backend).
 	Backend string `json:"backend,omitempty"`
 	// Quotient routes exhaustive sweeps through symmetry-quotient
 	// enumeration: only canonical orbit representatives execute, each
 	// folded with orbit weight, and the merged aggregates are bit-for-bit
 	// identical to the full n! fold. Unlike the pure perf toggles it stays
 	// part of the config identity: the plan's trial space becomes the
-	// canonical rank space (checkpoints and lease runs carve different
-	// coordinates), and it lifts E10's feasible size cap from
+	// canonical rank space (lease runs carve different coordinates), and it
+	// lifts E10's feasible size cap from
 	// exact.MaxFullEnumerationN to exact.MaxEnumerationN. Sampled sweeps
 	// are unaffected (avgbench -quotient).
 	Quotient bool `json:"quotient,omitempty"`
@@ -74,23 +70,23 @@ type Experiment struct {
 	// Run executes the experiment and renders its table. The context
 	// cancels the underlying sweeps; a cancelled run returns an error.
 	// Experiments defining the Sweeps/Tabulate split leave Run nil and the
-	// registry derives it, so the single-process path and the sharded
-	// cross-process path tabulate through the same code.
+	// registry derives it, so the single-process path and the leased
+	// multi-executor path tabulate through the same code.
 	Run func(ctx context.Context, cfg Config) (*Table, error)
 	// Sweeps, when non-nil, exposes the experiment's sweeps as plain
-	// sweep.Specs — the PLAN an external process can shard or checkpoint
-	// (see RunSweeps). Building specs must be pure: no randomness, no
+	// sweep.Specs — the PLAN lease executors split and resume (see
+	// RunLeasedSweeps). Building specs must be pure: no randomness, no
 	// execution.
 	Sweeps func(cfg Config) ([]sweep.Spec, error)
 	// Tabulate folds the merged per-sweep aggregates (one Result per
 	// Sweeps entry, same order) into the final table. It must depend on
-	// cfg and the aggregates alone, so m merged shard files render the
-	// bytes a single process prints.
+	// cfg and the aggregates alone, so a leased run collected from a store
+	// renders the bytes a single process prints.
 	Tabulate func(cfg Config, res []*sweep.Result) (*Table, error)
 }
 
 // Shardable reports whether the experiment exposes the Sweeps/Tabulate
-// split required for cross-process shard and checkpoint runs.
+// split required for leased runs.
 func (e Experiment) Shardable() bool { return e.Sweeps != nil && e.Tabulate != nil }
 
 // registry holds all experiments keyed by ID.
@@ -111,8 +107,8 @@ func buildRegistry() map[string]Experiment {
 }
 
 // derivedRun is the single-process execution of a Sweeps/Tabulate
-// experiment: run every sweep unsharded, tabulate the results — the exact
-// pipeline shard+merge reproduces across processes.
+// experiment: run every sweep, tabulate the results — the exact pipeline a
+// leased run reproduces across executors.
 func derivedRun(e Experiment) func(context.Context, Config) (*Table, error) {
 	return func(ctx context.Context, cfg Config) (*Table, error) {
 		results, err := RunSweeps(ctx, e, cfg, sweep.Shard{}, "")
@@ -121,6 +117,30 @@ func derivedRun(e Experiment) func(context.Context, Config) (*Table, error) {
 		}
 		return e.Tabulate(cfg, results)
 	}
+}
+
+// RunSweeps executes every sweep of a shardable experiment in this process
+// and returns the per-sweep aggregates, in Sweeps order. Splitting or
+// resuming a run is RunLeasedSweeps' job: shard must be the zero value and
+// checkpointPath empty, and anything else is rejected.
+func RunSweeps(ctx context.Context, e Experiment, cfg Config, shard sweep.Shard, checkpointPath string) ([]*sweep.Result, error) {
+	if !shard.IsZero() || checkpointPath != "" {
+		return nil, fmt.Errorf("experiments: %s: RunSweeps runs the whole trial space in one process; split or resume a run with RunLeasedSweeps over a store", e.ID)
+	}
+	if !e.Shardable() {
+		return nil, fmt.Errorf("experiments: %s does not expose its sweeps; it cannot run through RunSweeps", e.ID)
+	}
+	specs, err := expandSweeps(e, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %s sweeps: %w", e.ID, err)
+	}
+	results := make([]*sweep.Result, len(specs))
+	for k := range specs {
+		if results[k], err = sweep.Run(ctx, specs[k]); err != nil {
+			return nil, fmt.Errorf("experiments: %s sweep %d: %w", e.ID, k, err)
+		}
+	}
+	return results, nil
 }
 
 // UnknownExperimentError reports a lookup of an unregistered experiment ID
@@ -194,7 +214,6 @@ func cycleSpec(cfg Config, defSizes []int, defTrials int) sweep.Spec {
 		Sizes:     sizesOrDefault(cfg, defSizes),
 		Trials:    trialsOrDefault(cfg, defTrials),
 		Workers:   cfg.Workers,
-		NoAtlas:   cfg.NoAtlas,
 		NoKernels: cfg.NoKernels,
 		Graph:     func(n int, _ *rand.Rand) (graph.Graph, error) { return graph.NewCycle(n) },
 	}

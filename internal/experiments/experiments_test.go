@@ -306,3 +306,60 @@ func TestConfigKnobsReachEveryExperiment(t *testing.T) {
 		}
 	}
 }
+
+// TestRunSweepsRejectsUnshardable: RunSweeps runs only whole, in-process
+// sweeps of experiments exposing them. A custom-Run experiment, a static
+// shard and a checkpoint path are all rejected, the latter two pointing at
+// RunLeasedSweeps.
+func TestRunSweepsRejectsUnshardable(t *testing.T) {
+	e3, err := Get("E3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunSweeps(context.Background(), e3, Config{Seed: 1}, sweep.Shard{}, ""); err == nil {
+		t.Error("unshardable experiment accepted")
+	}
+	e6, err := Get("E6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Seed: 1, Sizes: []int{16}, Trials: 2}
+	for name, run := range map[string]func() error{
+		"shard": func() error {
+			_, err := RunSweeps(context.Background(), e6, cfg, sweep.Shard{Index: 0, Count: 2}, "")
+			return err
+		},
+		"checkpoint": func() error {
+			_, err := RunSweeps(context.Background(), e6, cfg, sweep.Shard{}, "e6.ckpt")
+			return err
+		},
+	} {
+		if err := run(); err == nil || !strings.Contains(err.Error(), "RunLeasedSweeps") {
+			t.Errorf("%s: err = %v, want a rejection naming RunLeasedSweeps", name, err)
+		}
+	}
+}
+
+// TestUnknownExperimentErrorListsIDs: the typed miss carries the whole
+// registered menu in natural order.
+func TestUnknownExperimentErrorListsIDs(t *testing.T) {
+	_, err := Get("E99")
+	if err == nil {
+		t.Fatal("unknown experiment accepted")
+	}
+	var ue *UnknownExperimentError
+	if !errors.As(err, &ue) {
+		t.Fatalf("error %T is not *UnknownExperimentError", err)
+	}
+	if ue.ID != "E99" {
+		t.Errorf("ID = %q", ue.ID)
+	}
+	for _, id := range []string{"E1", "E2", "E10"} {
+		if !strings.Contains(err.Error(), id) {
+			t.Errorf("error %q does not list %s", err, id)
+		}
+	}
+	if want := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12"}; len(ue.Known) != len(want) {
+		t.Errorf("Known = %v, want %v", ue.Known, want)
+	}
+}

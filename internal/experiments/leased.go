@@ -1,12 +1,14 @@
 package experiments
 
 // Leased runs: the experiment-level face of the sweep engine's
-// work-stealing lease protocol (internal/sweep/lease.go). Where a static
-// shard run fixes the i-of-m split up front, a leased run lets any number
-// of executors — started at any time, on any machine sharing the store —
-// pull grain-aligned trial ranges from the uncovered space, steal
-// straggler tails and re-execute dead workers' claims, all while the
-// merged table stays byte-identical to a single-process run.
+// work-stealing lease protocol (internal/sweep/lease.go), and the one way
+// to split, resume or share an experiment run. Any number of executors —
+// started at any time, in any process sharing the store — pull
+// grain-aligned trial ranges from the uncovered space, steal straggler
+// tails and re-execute dead workers' claims, all while the merged table
+// stays byte-identical to a single-process run. A killed run resumes by
+// starting an executor again; LeaseOptions.Static gives the fixed i-of-m
+// split instead of work stealing.
 //
 // The store layout namespaces one run per (experiment, normalized config):
 //
@@ -30,6 +32,18 @@ import (
 	"repro/internal/sweep"
 )
 
+// normalizedConfig strips the fields that cannot change result bytes —
+// worker count, the kernel toggle and the ball-sourcing backend — so
+// executors launched with different parallelism or backends still
+// cooperate on one run. StreamIDs stays: it selects a different
+// permutation family and thus different bytes.
+func normalizedConfig(cfg Config) Config {
+	cfg.Workers = 0
+	cfg.NoKernels = false
+	cfg.Backend = ""
+	return cfg
+}
+
 // formatLeaseManifest tags a leased run's manifest record.
 const formatLeaseManifest = "experiments.leasemanifest"
 
@@ -41,13 +55,17 @@ type LeaseManifest struct {
 	Config     Config `json:"config"`
 }
 
-// JobKey is the normalized-config identity of an (experiment, config)
-// run: the experiment id plus a short hash of the result-affecting config
-// fields. Two submissions that must produce byte-identical tables —
-// parallelism knobs and perf toggles differ, nothing else — share a key,
-// which is what lets sweepd deduplicate "millions of users" submitting
-// the same sweep into one computation and one cached table.
-func JobKey(e Experiment, cfg Config) string {
+// LeaseRunPrefix is the store namespace of an (experiment, config) leased
+// run: "lease/" plus the run key — the experiment id and a short hash of
+// the result-affecting config fields. Executors whose configs differ only
+// in parallelism or perf toggles share a run; runs of one experiment under
+// different seeds, sizes or trials never share records.
+func LeaseRunPrefix(e Experiment, cfg Config) string {
+	return "lease/" + runKey(e, cfg)
+}
+
+// runKey is the normalized-config identity LeaseRunPrefix namespaces.
+func runKey(e Experiment, cfg Config) string {
 	raw, err := json.Marshal(normalizedConfig(cfg))
 	if err != nil {
 		// Config is plain scalars; Marshal cannot fail on it.
@@ -56,13 +74,6 @@ func JobKey(e Experiment, cfg Config) string {
 	h := fnv.New64a()
 	h.Write(raw)
 	return fmt.Sprintf("%s-%016x", strings.ToLower(e.ID), h.Sum64())
-}
-
-// LeaseRunPrefix is the store namespace of an (experiment, config) leased
-// run — the job key under "lease/", so runs of one experiment under
-// different configs never share records.
-func LeaseRunPrefix(e Experiment, cfg Config) string {
-	return "lease/" + JobKey(e, cfg)
 }
 
 func manifestKey(prefix string) string { return prefix + "/manifest" }
@@ -153,33 +164,21 @@ func MergeLeased(e Experiment, cfg Config, st sweep.Store) (*Table, error) {
 	return e.Tabulate(cfg, results)
 }
 
-// FindLeasedRuns lists the leased runs a store holds, by reading every
-// manifest under "lease/". Torn or foreign manifests are skipped.
-func FindLeasedRuns(st sweep.Store) ([]LeaseManifest, error) {
-	runs, err := DiscoverLeasedRuns(st)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]LeaseManifest, len(runs))
-	for i, r := range runs {
-		out[i] = r.Manifest
-	}
-	return out, nil
-}
-
-// LeasedRun is one discovered run: its manifest plus the store prefix its
-// records live under.
+// LeasedRun is one run a store holds: its manifest plus the store prefix
+// its records live under (LeaseRunPrefix of the manifest's experiment and
+// config).
 type LeasedRun struct {
 	Manifest LeaseManifest
 	Prefix   string
 }
 
-// DiscoverLeasedRuns lists the leased runs a store holds with their store
-// prefixes — the resumable-run discovery a restarted sweepd re-attaches
-// with: every manifest under "lease/" whose bytes decode names a run whose
-// durable per-grain progress is still in the store. Torn or foreign
-// manifests are skipped.
-func DiscoverLeasedRuns(st sweep.Store) ([]LeasedRun, error) {
+// Key returns the run key: the directory name under "lease/" that tells
+// runs of one experiment apart.
+func (r LeasedRun) Key() string { return strings.TrimPrefix(r.Prefix, "lease/") }
+
+// FindLeasedRuns lists the leased runs a store holds, by reading every
+// manifest under "lease/". Torn or foreign manifests are skipped.
+func FindLeasedRuns(st sweep.Store) ([]LeasedRun, error) {
 	names, err := st.List("lease/")
 	if err != nil {
 		return nil, err
@@ -201,31 +200,4 @@ func DiscoverLeasedRuns(st sweep.Store) ([]LeasedRun, error) {
 		runs = append(runs, LeasedRun{Manifest: mf, Prefix: prefix})
 	}
 	return runs, nil
-}
-
-// LeasedProgress snapshots a leased run's per-sweep coverage and live
-// claims without joining it: one Progress per sweep, in Sweeps order. A
-// store holding no records for the run yet reports zero coverage.
-func LeasedProgress(e Experiment, cfg Config, st sweep.Store) ([]*sweep.Progress, error) {
-	if !e.Shardable() {
-		return nil, fmt.Errorf("experiments: %s does not expose its sweeps; it has no leased progress", e.ID)
-	}
-	specs, err := expandSweeps(e, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %s sweeps: %w", e.ID, err)
-	}
-	prefix := LeaseRunPrefix(e, cfg)
-	out := make([]*sweep.Progress, len(specs))
-	for k := range specs {
-		plan, err := sweep.PlanOf(specs[k])
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s sweep %d: %w", e.ID, k, err)
-		}
-		p, err := sweep.LeaseProgress(st, sweepPrefix(prefix, k), plan)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s sweep %d: %w", e.ID, k, err)
-		}
-		out[k] = p
-	}
-	return out, nil
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -57,7 +56,7 @@ func TestLeasedRunTablesByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(runs) != 1 || runs[0].Experiment != tc.id {
+			if len(runs) != 1 || runs[0].Manifest.Experiment != tc.id || runs[0].Prefix != LeaseRunPrefix(e, tc.cfg) {
 				t.Errorf("FindLeasedRuns = %+v, want one %s run", runs, tc.id)
 			}
 		})
@@ -145,50 +144,48 @@ func TestLeasedManifestRejectsForeignRun(t *testing.T) {
 	}
 }
 
-// TestMergeShardsRejectsOverlappingRanges is the double-counting
-// satellite: shard files whose trial-range claims overlap — the classic
-// forgery being one file duplicated and relabelled as another shard index
-// — must fail with the typed *sweep.OverlapError, or with the extremal
-// containment check when the forgery drops the explicit claims.
-func TestMergeShardsRejectsOverlappingRanges(t *testing.T) {
-	e, err := Get("E6")
-	if err != nil {
-		t.Fatal(err)
+// TestShardMergeTablesByteIdentical: for E2, E6 and the exhaustive E10, m
+// static lease shards (each with its own worker pool size) merge to the
+// single-process table, for m in {1, 2, 4}.
+func TestShardMergeTablesByteIdentical(t *testing.T) {
+	cases := []struct {
+		id  string
+		cfg Config
+	}{
+		{"E2", Config{Seed: 7, Sizes: []int{16, 32, 64}, Trials: 6}},
+		{"E6", Config{Seed: 11, Sizes: []int{16, 33}, Trials: 9}},
+		{"E10", Config{Seed: 3, Sizes: []int{5, 6}, Trials: 60}},
 	}
-	cfg := Config{Seed: 2, Sizes: []int{16, 24}, Trials: 20}
-	a, err := RunShard(context.Background(), e, cfg, sweep.Shard{Index: 0, Count: 2}, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Forgery 1: duplicate shard 0, relabel it shard 1, keep its recorded
-	// ranges. The claims collide and the merge says so, typed.
-	dup := *a
-	dup.Shard = sweep.Shard{Index: 1, Count: 2}
-	var ov *sweep.OverlapError
-	if _, _, err := MergeShards(a, &dup); !errors.As(err, &ov) {
-		t.Fatalf("relabelled duplicate with ranges: want *sweep.OverlapError, got %v", err)
-	}
-
-	// Forgery 2: same relabelling with the explicit claims stripped (a
-	// pre-Ranges file). Trial counts alone cannot tell — both slices owe 10
-	// trials — but the extremal trial indices still point into shard 0's
-	// slice and are caught.
-	bare := *a
-	bare.Shard = sweep.Shard{Index: 1, Count: 2}
-	bare.Ranges = nil
-	aBare := *a
-	aBare.Ranges = nil
-	if _, _, err := MergeShards(&aBare, &bare); err == nil {
-		t.Fatal("relabelled duplicate without ranges: want error")
-	}
-
-	// An honest complement still merges fine.
-	b, err := RunShard(context.Background(), e, cfg, sweep.Shard{Index: 1, Count: 2}, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := MergeShards(a, b); err != nil {
-		t.Fatalf("honest shard set: %v", err)
+	for _, tc := range cases {
+		t.Run(tc.id, func(t *testing.T) {
+			e, err := Get(tc.id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := e.Run(context.Background(), tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range []int{1, 2, 4} {
+				st := sweep.NewMemStore()
+				for i := 0; i < m; i++ {
+					cfg := tc.cfg
+					cfg.Workers = 1 + i%3
+					opts := sweep.LeaseOptions{Worker: fmt.Sprintf("s%d", i), GrainsPerSize: 4,
+						Static: sweep.Shard{Index: i, Count: m}}
+					if _, err := RunLeasedSweeps(context.Background(), e, cfg, st, opts); err != nil {
+						t.Fatalf("m=%d shard %d: %v", m, i, err)
+					}
+				}
+				got, err := MergeLeased(e, tc.cfg, st)
+				if err != nil {
+					t.Fatalf("m=%d: %v", m, err)
+				}
+				if want.Render() != got.Render() {
+					t.Errorf("m=%d: merged table differs from single process\nwant:\n%s\ngot:\n%s",
+						m, want.Render(), got.Render())
+				}
+			}
+		})
 	}
 }

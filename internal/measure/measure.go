@@ -13,7 +13,7 @@ import (
 
 // Summary condenses one radius vector into the statistics the experiments
 // report. The JSON tags define the stable serialized shape the sweep
-// engine's versioned codec embeds in shard and checkpoint files; renaming
+// engine's versioned codec embeds in lease completion records; renaming
 // one is a format change there.
 type Summary struct {
 	N   int     `json:"n"`

@@ -14,15 +14,14 @@ import (
 )
 
 // Backend names a ball-sourcing strategy for sweep workers. The zero value
-// is automatic selection (the shared atlas, or the ball builder under
-// NoAtlas); results are byte-identical across all backends for every seed,
+// is automatic selection (the shared atlas); results are byte-identical
+// across all backends for every seed,
 // size and worker count — the choice trades memory against per-trial work,
 // never bytes.
 type Backend string
 
 const (
-	// BackendAuto picks the default: the shared per-size atlas, degraded to
-	// the builder when Spec.NoAtlas is set.
+	// BackendAuto picks the default: the shared per-size atlas.
 	BackendAuto Backend = ""
 	// BackendAtlas materialises one shared graph.BallAtlas per size; all
 	// workers serve views and kernels from it. O(n · ball) memory per size.
@@ -77,20 +76,14 @@ func (e *ImplicitUnsupportedError) Error() string {
 		e.Graph, e.N, strings.Join(e.Qualifying, ", "))
 }
 
-// resolveBackend validates Spec.Backend against the spec's toggles and the
-// built graphs, and returns the effective (non-auto) backend.
+// resolveBackend validates Spec.Backend against the built graphs and
+// returns the effective (non-auto) backend.
 func resolveBackend(spec *Spec, graphs []graph.Graph) (Backend, error) {
 	b, err := ParseBackend(string(spec.Backend))
 	if err != nil {
 		return BackendAuto, err
 	}
-	if spec.NoAtlas && b != BackendAuto && b != BackendBuilder {
-		return BackendAuto, fmt.Errorf("sweep: NoAtlas conflicts with Backend %q; drop one of the two", b)
-	}
 	if b == BackendAuto {
-		if spec.NoAtlas {
-			return BackendBuilder, nil
-		}
 		return BackendAtlas, nil
 	}
 	if b == BackendImplicit {

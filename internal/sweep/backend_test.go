@@ -176,13 +176,6 @@ func TestBackendValidation(t *testing.T) {
 		t.Fatalf("unsupported error carries %+v: %v", unsupported, err)
 	}
 
-	conflict := cycleSpec(67, []int{12}, 1, 1)
-	conflict.NoAtlas = true
-	conflict.Backend = BackendImplicit
-	if _, err := Run(context.Background(), conflict); err == nil {
-		t.Fatal("NoAtlas + implicit backend accepted")
-	}
-
 	badName := cycleSpec(67, []int{12}, 1, 1)
 	badName.Backend = Backend("fast")
 	var unknown *UnknownBackendError

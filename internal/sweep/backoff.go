@@ -1,16 +1,15 @@
 package sweep
 
-// Backoff is the retry-pacing policy shared by everything in the engine
-// that waits on a flaky or busy medium: lease executors riding out
-// transient store faults, idle executors pacing their rescans, and the
-// sweepd supervisor restarting crashed workers. One policy type instead of
-// scattered fixed sleeps, so the CLI and the service tune the same knob.
+// Backoff is the retry-pacing policy of everything in the engine that
+// waits on a flaky or busy medium: lease executors riding out transient
+// store faults and idle executors pacing their rescans. One policy type
+// instead of scattered fixed sleeps.
 //
 // Delays grow exponentially with the attempt number, are capped at Max,
 // and carry deterministic jitter: the jitter for a given (Seed, attempt)
-// pair is a pure function, so replayed chaos scenarios and restarted
-// supervisors pace identically. Real fleets get decorrelation by seeding
-// per worker (RunLeased hashes the worker id).
+// pair is a pure function, so replayed chaos scenarios pace identically.
+// Executors sharing a store get decorrelation by seeding per worker
+// (RunLeased hashes the worker id).
 
 import (
 	"context"

@@ -1,9 +1,9 @@
 package sweep
 
-// Versioned serialization for the MERGE layer. Every file the engine (or a
-// caller, like the experiment shard files) writes is a JSON envelope — a
-// format tag, a version, a payload — so a reader can reject a foreign or
-// future file with a typed error instead of silently mis-merging it. The
+// Versioned serialization for lease runs. Every record the engine (or a
+// caller, like the experiment lease manifests) writes is a JSON envelope —
+// a format tag, a version, a payload — so a reader can reject a foreign or
+// future record with a typed error instead of silently mis-merging it. The
 // payload shapes are the exported aggregate structs with explicit JSON
 // tags; Go's JSON float encoding is shortest-round-trip, so decoded
 // aggregates are bit-identical to the encoded ones and cross-process
@@ -19,18 +19,14 @@ import (
 // the serialized shape of SizeStats, Plan, TrialRange or the envelope
 // itself; readers reject other versions with a *DecodeError. Version 2
 // added the quotient-plan fields (Plan.Quotient/Orders) and the
-// per-completion fold weight (Completion.Weight).
-const codecVersion = 2
+// per-completion fold weight (Completion.Weight); version 3 dropped the
+// static shard from Plan.
+const codecVersion = 3
 
 // Format tags distinguish the file kinds sharing the envelope.
 const (
-	// FormatResult tags a serialized Result: the partial aggregates one
-	// plan shard produced (avgbench -shard writes these inside its shard
-	// files; MergeResults folds them).
+	// FormatResult tags a serialized Result: a sweep's per-size aggregates.
 	FormatResult = "sweep.result"
-	// FormatCheckpoint tags a serialized Checkpoint: a plan identity plus
-	// the completed blocks and their aggregates.
-	FormatCheckpoint = "sweep.checkpoint"
 	// FormatLeasePlan tags a lease run's identity record: the plan plus the
 	// grain schedule every cooperating executor must agree on (lease.go).
 	FormatLeasePlan = "sweep.leaseplan"
@@ -80,8 +76,8 @@ type envelope struct {
 }
 
 // EncodeFile writes payload inside a versioned envelope with the given
-// format tag. It is shared by the engine's own files and by callers
-// framing their payloads the same way (the experiment shard files).
+// format tag. It is shared by the engine's own records and by callers
+// framing their payloads the same way (the experiment lease manifests).
 func EncodeFile(w io.Writer, format string, payload any) error {
 	raw, err := json.Marshal(payload)
 	if err != nil {
@@ -115,8 +111,7 @@ func DecodeFile(r io.Reader, format string, out any) error {
 	return nil
 }
 
-// EncodeResult serializes a Result (typically one shard's partial
-// aggregates) for a later MergeResults in another process.
+// EncodeResult serializes a Result for another process to decode.
 func EncodeResult(w io.Writer, res *Result) error {
 	return EncodeFile(w, FormatResult, res)
 }
@@ -132,14 +127,6 @@ func DecodeResult(r io.Reader) (*Result, error) {
 		return nil, err
 	}
 	return res, nil
-}
-
-// ValidateResult checks a decoded Result against the aggregate invariants
-// the way DecodeResult does. Callers embedding Results inside their own
-// envelopes (the experiment shard files) must run it on every decoded
-// aggregate before merging; failures are *DecodeError.
-func ValidateResult(res *Result) error {
-	return validateSizes(res.Sizes, FormatResult)
 }
 
 // validateSizes rejects decoded aggregates that violate invariants no run

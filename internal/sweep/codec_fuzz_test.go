@@ -22,9 +22,9 @@ func FuzzDecodeResult(f *testing.F) {
 	}
 	valid := buf.Bytes()
 	f.Add(valid)
-	f.Add([]byte(`{"format":"sweep.result","version":2,"payload":{"sizes":[]}}`))
-	f.Add([]byte(`{"format":"sweep.result","version":2,"payload":{}}`))
-	f.Add([]byte(`{"format":"sweep.checkpoint","version":2,"payload":{}}`))
+	f.Add([]byte(`{"format":"sweep.result","version":3,"payload":{"sizes":[]}}`))
+	f.Add([]byte(`{"format":"sweep.result","version":3,"payload":{}}`))
+	f.Add([]byte(`{"format":"sweep.leaseplan","version":3,"payload":{}}`))
 	f.Add([]byte(`{`))
 	f.Add(bytes.Replace(valid, []byte(`"trials"`), []byte(`"trails"`), 1))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -42,46 +42,6 @@ func FuzzDecodeResult(f *testing.F) {
 		}
 		if !reflect.DeepEqual(res, again) {
 			t.Fatalf("codec round trip not lossless\nfirst:  %+v\nsecond: %+v", res, again)
-		}
-	})
-}
-
-// FuzzDecodeCheckpoint: same contract for the checkpoint record, whose
-// payload additionally carries the plan and done-range bookkeeping.
-func FuzzDecodeCheckpoint(f *testing.F) {
-	spec := cycleSpec(5, []int{8}, 6, 2)
-	ck := NewCheckpoint(mustPlanOf(spec))
-	spec.OnBlock = func(b Block, partial *SizeStats) {
-		// Serialised by the sequential fold below (workers=2 may race, so
-		// run single-worker for the seed corpus).
-		ck.Fold(b, partial)
-	}
-	spec.Workers = 1
-	if _, err := Run(context.Background(), spec); err != nil {
-		f.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := EncodeCheckpoint(&buf, ck); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	f.Add([]byte(`{"format":"sweep.checkpoint","version":2,"payload":{"plan":{"sizes":[]},"done":[],"sizes":[]}}`))
-	f.Add([]byte(`{"format":"sweep.checkpoint","version":2,"payload":{"plan":{"sizes":[4]},"done":[[{"t0":1,"t1":0}]],"sizes":[{"n":4}]}}`))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		ck, err := DecodeCheckpoint(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		var out bytes.Buffer
-		if err := EncodeCheckpoint(&out, ck); err != nil {
-			t.Fatalf("decoded checkpoint failed to re-encode: %v", err)
-		}
-		again, err := DecodeCheckpoint(bytes.NewReader(out.Bytes()))
-		if err != nil {
-			t.Fatalf("re-encoded checkpoint failed to decode: %v", err)
-		}
-		if !reflect.DeepEqual(ck, again) {
-			t.Fatalf("checkpoint round trip not lossless")
 		}
 	})
 }

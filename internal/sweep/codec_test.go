@@ -49,12 +49,12 @@ func TestDecodeResultRejects(t *testing.T) {
 		want  string
 	}{
 		{"garbage", "not json at all", "malformed envelope"},
-		{"wrongFormat", `{"format":"sweep.checkpoint","version":2,"payload":{}}`, "not"},
+		{"wrongFormat", `{"format":"sweep.leaseplan","version":3,"payload":{}}`, "not"},
 		{"futureVersion", `{"format":"sweep.result","version":99,"payload":{}}`, "unsupported version"},
-		{"badPayload", `{"format":"sweep.result","version":2,"payload":[1,2,3]}`, "malformed payload"},
-		{"negativeTrials", `{"format":"sweep.result","version":2,"payload":{"sizes":[{"n":4,"trials":-1}]}}`, "impossible trial counts"},
-		{"failuresOverTrials", `{"format":"sweep.result","version":2,"payload":{"sizes":[{"n":4,"trials":1,"failures":2}]}}`, "impossible trial counts"},
-		{"negativeHist", `{"format":"sweep.result","version":2,"payload":{"sizes":[{"n":4,"trials":1,"hist":[-5]}]}}`, "negative histogram"},
+		{"badPayload", `{"format":"sweep.result","version":3,"payload":[1,2,3]}`, "malformed payload"},
+		{"negativeTrials", `{"format":"sweep.result","version":3,"payload":{"sizes":[{"n":4,"trials":-1}]}}`, "impossible trial counts"},
+		{"failuresOverTrials", `{"format":"sweep.result","version":3,"payload":{"sizes":[{"n":4,"trials":1,"failures":2}]}}`, "impossible trial counts"},
+		{"negativeHist", `{"format":"sweep.result","version":3,"payload":{"sizes":[{"n":4,"trials":1,"hist":[-5]}]}}`, "negative histogram"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -70,26 +70,6 @@ func TestDecodeResultRejects(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, c.want)
 			}
 		})
-	}
-}
-
-// TestCheckpointCodecRejects covers the checkpoint-specific validation.
-func TestCheckpointCodecRejects(t *testing.T) {
-	cases := []string{
-		`{"format":"sweep.checkpoint","version":2,"payload":{"plan":{"sizes":[4]},"done":[],"sizes":[]}}`,
-		`{"format":"sweep.checkpoint","version":2,"payload":{"plan":{"sizes":[4]},"done":[[{"t0":5,"t1":2}]],"sizes":[{"n":4}]}}`,
-		`{"format":"sweep.checkpoint","version":2,"payload":{"plan":{"sizes":[4]},"done":[[{"t0":0,"t1":4},{"t0":2,"t1":6}]],"sizes":[{"n":4}]}}`,
-	}
-	for i, input := range cases {
-		_, err := DecodeCheckpoint(strings.NewReader(input))
-		if err == nil {
-			t.Errorf("case %d: inconsistent checkpoint accepted", i)
-			continue
-		}
-		var de *DecodeError
-		if !errors.As(err, &de) {
-			t.Errorf("case %d: error %v is not a *DecodeError", i, err)
-		}
 	}
 }
 

@@ -4,8 +4,7 @@ package sweep
 // blocks. Workers own all per-trial scratch — the local.Runner, the
 // histogram buffer, the reseedable rng, the permutation buffer — so
 // steady-state blocks allocate nothing, and each worker folds its trials
-// into a private shard of SizeStats that the MERGE layer combines at the
-// end (finish, merge.go).
+// into a private shard of SizeStats that finish combines at the end.
 
 import (
 	"context"
@@ -47,8 +46,8 @@ type worker struct {
 // execute runs the planned blocks across the worker pool and merges the
 // worker shards into the final Result. quotients (non-nil only under
 // Spec.Quotient) hold each size's canonical ranker. total is the planned
-// WEIGHTED trial count (after shard and Done carve-outs) used for
-// cancellation accounting.
+// WEIGHTED trial count (after the Done carve-out) used for cancellation
+// accounting.
 func execute(ctx context.Context, spec Spec, graphs []graph.Graph, atlases []*graph.BallAtlas, quotients []*ids.Quotient, blocks []Block, total, workers int) (*Result, error) {
 	// The sequential path needs no cancel broadcast — its loop checks
 	// firstErr directly — so it skips the WithCancel context entirely.
@@ -200,11 +199,6 @@ func quotientAt(quotients []*ids.Quotient, i int) *ids.Quotient {
 // extremum is canonical — so weighted folds reproduce the full
 // enumeration's aggregate, including tie-broken extremal trial indices,
 // bit for bit.
-//
-// When Spec.OnBlock is set the block's trials fold into a block-local
-// aggregate first, which is merged into the shard and — only if the block
-// ran to completion — handed to the hook. The hot path (OnBlock nil) folds
-// straight into the shard exactly as before the plan/execute split.
 func (w *worker) runBlock(ctx context.Context, spec Spec, g graph.Graph, atlas *graph.BallAtlas, q *ids.Quotient, b Block) error {
 	if spec.Backend == BackendImplicit {
 		// Run validated every graph as a comparable graph.Implicit, so the
@@ -221,15 +215,7 @@ func (w *worker) runBlock(ctx context.Context, spec Spec, g graph.Graph, atlas *
 	if spec.Assign == nil && cap(w.assign) < n {
 		w.assign = make([]int, n)
 	}
-	// The hot path folds trials straight into the worker's shard. Only a
-	// checkpointing sweep (OnBlock set) pays for a block-local aggregate —
-	// kept behind a pointer so the common case allocates nothing per block.
 	dst := &w.shard[b.SizeIdx]
-	var blockStats *SizeStats
-	if spec.OnBlock != nil {
-		blockStats = &SizeStats{N: n}
-		dst = blockStats
-	}
 	// One clear per batch establishes the all-zeros invariant; each trial
 	// restores it below by zeroing only the entries it incremented.
 	for r := range w.hist {
@@ -260,7 +246,6 @@ func (w *worker) runBlock(ctx context.Context, spec Spec, g graph.Graph, atlas *
 	}
 	for trial := b.T0; trial < b.T1; trial++ {
 		if ctx.Err() != nil {
-			w.flushBlock(b, blockStats)
 			return nil
 		}
 		var (
@@ -275,7 +260,6 @@ func (w *worker) runBlock(ctx context.Context, spec Spec, g graph.Graph, atlas *
 				if q != nil {
 					steps, ok := q.NextCanonicalInto(w.assign[:n])
 					if !ok {
-						w.flushBlock(b, blockStats)
 						return fmt.Errorf("sweep: size %d: canonical walk ended before rank %d", n, trial)
 					}
 					fullRank += int(steps)
@@ -288,7 +272,6 @@ func (w *worker) runBlock(ctx context.Context, spec Spec, g graph.Graph, atlas *
 			w.rng.Seed(trialSeed(spec.Seed, b.SizeIdx, trial))
 			a, err = spec.Assign(b.SizeIdx, n, trial, w.rng)
 			if err != nil {
-				w.flushBlock(b, blockStats)
 				return fmt.Errorf("sweep: assign size %d trial %d: %w", n, trial, err)
 			}
 		case spec.StreamIDs:
@@ -301,7 +284,6 @@ func (w *worker) runBlock(ctx context.Context, spec Spec, g graph.Graph, atlas *
 		}
 		res, err := w.runner.Run(g, a, spec.Alg(n, a), w.opts...)
 		if err != nil {
-			w.flushBlock(b, blockStats)
 			return err
 		}
 
@@ -321,7 +303,6 @@ func (w *worker) runBlock(ctx context.Context, spec Spec, g graph.Graph, atlas *
 		hist := w.hist[:maxR+1]
 		sum := summarizeHist(hist)
 		if err := dst.checkFoldWeighted(maxR, sum, hist, weight); err != nil {
-			w.flushBlock(b, blockStats)
 			return fmt.Errorf("sweep: fold size %d trial %d: %w", n, trial, err)
 		}
 
@@ -329,7 +310,6 @@ func (w *worker) runBlock(ctx context.Context, spec Spec, g graph.Graph, atlas *
 		if spec.Verify != nil {
 			if verr := spec.Verify(g, a, res); verr != nil {
 				if spec.Strict {
-					w.flushBlock(b, blockStats)
 					return fmt.Errorf("sweep: verify size %d trial %d: %w", n, trial, verr)
 				}
 				verifyFailed = true
@@ -350,20 +330,32 @@ func (w *worker) runBlock(ctx context.Context, spec Spec, g graph.Graph, atlas *
 			hist[r] = 0
 		}
 	}
-	if blockStats != nil {
-		w.shard[b.SizeIdx].Merge(blockStats)
-		spec.OnBlock(b, blockStats)
-	}
 	return nil
 }
 
-// flushBlock folds a block-local aggregate back into the shard on early
-// exits (cancellation, errors), so a block's completed trials still
-// surface in the partial Result. The block is NOT reported to OnBlock —
-// it did not complete — so a resume re-executes it. No-op on the hot path
-// (nil blockStats).
-func (w *worker) flushBlock(b Block, blockStats *SizeStats) {
-	if blockStats != nil && blockStats.Trials > 0 {
-		w.shard[b.SizeIdx].Merge(blockStats)
+// finish merges the worker shards into the final Result and classifies how
+// the sweep ended: clean, failed, or cancelled with partial aggregates.
+// total is the number of WEIGHTED trials the plan asked for (after the
+// Done carve-out) — under a quotient each planned representative counts
+// its whole orbit, matching what SizeStats.Trials accumulates.
+func finish(ctx context.Context, spec Spec, total int, ws []worker, firstErr error) (*Result, error) {
+	res := &Result{Sizes: make([]SizeStats, len(spec.Sizes))}
+	done := 0
+	for i, n := range spec.Sizes {
+		res.Sizes[i].N = n
+		for wi := range ws {
+			res.Sizes[i].Merge(&ws[wi].shard[i])
+		}
+		done += res.Sizes[i].Trials
 	}
+	if firstErr != nil {
+		return res, firstErr
+	}
+	// A context that fires after the final trial completed did not cost any
+	// results; only report cancellation when work was actually skipped.
+	if cerr := ctx.Err(); cerr != nil && done < total {
+		return res, fmt.Errorf("sweep: cancelled with partial results (%d/%d trials): %w",
+			done, total, cerr)
+	}
+	return res, nil
 }

@@ -46,7 +46,9 @@ func TestExhaustiveDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 	for _, noAtlas := range []bool{false, true} {
 		spec := exhaustiveSpec(sizes, 3)
-		spec.NoAtlas = noAtlas
+		if noAtlas {
+			spec.Backend = BackendBuilder
+		}
 		spec.NoKernels = !noAtlas
 		got, err := Run(context.Background(), spec)
 		if err != nil {

@@ -25,7 +25,7 @@ func runConfigs(t *testing.T, name string, spec Spec) {
 	t.Helper()
 	base := spec
 	base.Workers = 1
-	base.NoAtlas = true
+	base.Backend = BackendBuilder
 	want, err := Run(context.Background(), base)
 	if err != nil {
 		t.Fatalf("%s builder: %v", name, err)
@@ -102,7 +102,7 @@ func TestKernelsUniformIdentical(t *testing.T) {
 // tables stay byte-identical.
 func TestKernelsCappedAtlasIdentical(t *testing.T) {
 	base := cycleSpec(41, []int{48}, 6, 2)
-	base.NoAtlas = true
+	base.Backend = BackendBuilder
 	want, err := Run(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)

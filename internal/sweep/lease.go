@@ -1,14 +1,17 @@
 package sweep
 
-// Work-stealing shard leases over a Store: the dynamic replacement for the
-// static i-of-m Shard split. Executors lease variable-size, grain-aligned
-// trial ranges out of the plan's uncovered space (the Done-complement
-// subtractRanges computes), execute them one grain at a time through the
-// ordinary engine, and publish an immutable per-grain completion record
-// after each grain. Fast workers drain the free pool, then steal the tail
+// Work-stealing grain leases over a Store: the one way to split, resume or
+// share a sweep across executors and processes. Executors lease
+// variable-size, grain-aligned trial ranges out of the plan's uncovered
+// space (the Done-complement subtractRanges computes), execute them one
+// grain at a time through the ordinary engine, and publish an immutable
+// per-grain completion record after each grain. Fast workers drain the free pool, then steal the tail
 // half of the largest straggler lease, then speculatively re-execute live
 // stragglers — so heterogeneous workers finish together instead of waiting
-// on the slowest static slice.
+// on the slowest static slice. The static i-of-m split (LeaseOptions.Static)
+// is the degenerate schedule that never steals, and a single executor over
+// a DirStore is a checkpointed run: its completion records are the
+// checkpoint, so a killed run resumes by starting the executor again.
 //
 // Safety never rests on mutual exclusion. Every grain's aggregate is a
 // deterministic function of the plan and the grain's coordinates alone, so
@@ -30,9 +33,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
+	"io/fs"
 	"math"
 	"sort"
 	"time"
@@ -178,16 +183,13 @@ func DecodeCompletion(r io.Reader) (*Completion, error) {
 
 // OverlapError reports two trial ranges claiming the same trials — merging
 // them would double-count. It is the typed rejection of the first-write-
-// wins precondition, raised by CollectLeased and by the experiment-level
-// shard merge.
+// wins precondition, raised by CollectLeased.
 type OverlapError struct {
 	// N is the instance size whose trial space collided.
 	N int
 	// A and B are the colliding ranges.
 	A, B TrialRange
-	// Key names the offending completion record in the store (range B's),
-	// when the overlap was found collecting a leased run; empty for the
-	// file-based shard merge.
+	// Key names the offending completion record in the store (range B's).
 	Key string
 }
 
@@ -207,8 +209,7 @@ type IncompleteError struct {
 	N int
 	// Missing lists its uncovered ranges, ascending.
 	Missing []TrialRange
-	// Prefix is the run's store namespace, when the gap was found
-	// collecting a leased run; empty for the file-based shard merge.
+	// Prefix is the run's store namespace.
 	Prefix string
 }
 
@@ -250,7 +251,7 @@ type LeaseOptions struct {
 	// Retry paces transient-store-fault retries and idle rescans. The zero
 	// value derives a policy from Poll (base Poll, ×1.5 growth, 8×Poll
 	// cap) with jitter seeded from the worker id, so replays stay
-	// deterministic. sweepd and the CLI tune this same knob.
+	// deterministic.
 	Retry Backoff
 	// StoreRetries bounds how many backed-off retries one store operation
 	// gets before the executor gives up on it (default 2): a completion
@@ -294,11 +295,11 @@ func (s *LeaseStats) Add(o LeaseStats) {
 	s.Speculated += o.Speculated
 }
 
-// WorkerError attributes a leased executor's failure to its worker id —
-// the unit a supervisor (internal/serve) restarts and counts toward its
-// circuit breaker. Everything RunLeased fails with after option validation
-// is wrapped in one; Unwrap keeps errors.Is/As working on the cause
-// (context.Canceled, fs.ErrNotExist, ...).
+// WorkerError attributes a leased executor's failure to its worker id, so
+// a caller running several executors knows which one to restart.
+// Everything RunLeased fails with after option validation is wrapped in
+// one; Unwrap keeps errors.Is/As working on the cause (context.Canceled,
+// fs.ErrNotExist, ...).
 type WorkerError struct {
 	// Worker is the failing executor's id.
 	Worker string
@@ -473,6 +474,56 @@ func covered(ranges []TrialRange, r TrialRange) bool {
 	return false
 }
 
+// insertRange adds r to an ascending non-overlapping range list, merging
+// with adjacent or overlapping neighbours.
+func insertRange(ranges []TrialRange, r TrialRange) []TrialRange {
+	at := len(ranges)
+	for i, x := range ranges {
+		if r.T0 <= x.T1 {
+			at = i
+			break
+		}
+	}
+	// Absorb every range that touches [r.T0, r.T1).
+	end := at
+	for end < len(ranges) && ranges[end].T0 <= r.T1 {
+		if ranges[end].T0 < r.T0 {
+			r.T0 = ranges[end].T0
+		}
+		if ranges[end].T1 > r.T1 {
+			r.T1 = ranges[end].T1
+		}
+		end++
+	}
+	out := append(ranges[:at:at], r)
+	return append(out, ranges[end:]...)
+}
+
+// isRetryable reports whether a store operation's failure is worth a
+// backed-off retry of the same operation:
+//
+//   - context cancellation or deadline: no — the caller is being told to
+//     stop, not the medium failing;
+//   - fs.ErrNotExist / fs.ErrPermission: no — a vanished or read-only
+//     store does not heal by retrying;
+//   - *DecodeError: no — corrupt bytes re-read identically;
+//   - anything else: yes — an unclassified media fault is presumed
+//     transient. Retrying a permanent fault only costs the small
+//     StoreRetries budget; giving up on a blip costs a worker death.
+func isRetryable(err error) bool {
+	if err == nil {
+		return false
+	}
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return false
+	}
+	if errors.Is(err, fs.ErrNotExist) || errors.Is(err, fs.ErrPermission) {
+		return false
+	}
+	var de *DecodeError
+	return !errors.As(err, &de)
+}
+
 // claimKind classifies how a claim was obtained, for stats accounting.
 type claimKind int
 
@@ -507,10 +558,9 @@ type leaseRunner struct {
 // Merge the records with CollectLeased; the result is byte-identical to a
 // single uninterrupted Run of the same spec.
 //
-// The spec must leave Shard, Done and OnBlock unset: the lease schedule
-// owns the trial-space slicing, and per-grain completions are the progress
-// record (there is no separate checkpoint — a restarted executor resumes
-// from whatever the store already covers).
+// The spec must leave Done unset: the lease schedule owns the trial-space
+// slicing, and per-grain completions are the progress record — a restarted
+// executor resumes from whatever the store already covers.
 func RunLeased(ctx context.Context, spec Spec, st Store, opts LeaseOptions) (LeaseStats, error) {
 	var zero LeaseStats
 	if st == nil {
@@ -522,8 +572,8 @@ func RunLeased(ctx context.Context, spec Spec, st Store, opts LeaseOptions) (Lea
 	if err := validStoreName(opts.Worker); err != nil {
 		return zero, fmt.Errorf("sweep: worker id: %w", err)
 	}
-	if !spec.Shard.IsZero() || spec.Done != nil || spec.OnBlock != nil {
-		return zero, fmt.Errorf("sweep: RunLeased owns the schedule; Spec.Shard, Done and OnBlock must be unset")
+	if spec.Done != nil {
+		return zero, fmt.Errorf("sweep: RunLeased owns the schedule; Spec.Done must be unset")
 	}
 	if err := opts.Static.validate(); err != nil {
 		return zero, err
@@ -612,7 +662,7 @@ func RunLeased(ctx context.Context, spec Spec, st Store, opts LeaseOptions) (Lea
 	defer st.Delete(leaseKey(r.prefix, opts.Worker))
 	if err = r.loop(ctx); err != nil {
 		// Everything past option validation is a worker-attributable
-		// failure the supervisor counts.
+		// failure.
 		err = &WorkerError{Worker: opts.Worker, Err: err}
 	}
 	return r.stats, err
@@ -636,11 +686,9 @@ func (r *leaseRunner) loop(ctx context.Context) error {
 		sc, err := r.scanner.scan()
 		if err != nil {
 			// A transiently faulting store gets StoreRetries backed-off
-			// rescans before the executor dies (and the supervisor counts
-			// the death); a final fault — vanished root, permission — kills
-			// the executor immediately, one predicate (IsRetryable)
-			// deciding for this loop and RetryStore alike.
-			if scanFaults++; !IsRetryable(err) || scanFaults > r.opts.StoreRetries {
+			// rescans before the executor dies; a final fault — vanished
+			// root, permission — kills the executor immediately.
+			if scanFaults++; !isRetryable(err) || scanFaults > r.opts.StoreRetries {
 				return err
 			}
 			r.opts.Retry.Wait(ctx, scanFaults-1)
@@ -846,14 +894,13 @@ func (r *leaseRunner) executeLease(ctx context.Context, b Block, seq int64) erro
 			return err
 		}
 		for attempt := 0; ; attempt++ {
-			// Bounded, backed-off retries ride out transient faults — the
-			// same IsRetryable predicate RetryStore applies, so a final
+			// Bounded, backed-off retries ride out transient faults; a final
 			// fault (vanished root, permission) stops immediately. A grain
 			// whose record still fails to land simply stays uncovered: some
 			// executor (possibly this one, next claim) re-runs it and
 			// overwrites whatever garbage the failed write left.
 			perr := r.st.Put(key, buf.Bytes())
-			if perr == nil || !IsRetryable(perr) {
+			if perr == nil || !isRetryable(perr) {
 				break
 			}
 			if attempt >= r.opts.StoreRetries || r.opts.Retry.Wait(ctx, attempt) != nil {
@@ -912,7 +959,6 @@ func (r *leaseRunner) putLease(l *Lease) {
 // cache, so repeated grains at one size share their BFS layers.
 func (r *leaseRunner) runGrain(ctx context.Context, b Block) (SizeStats, error) {
 	s := r.spec
-	s.Shard = Shard{}
 	done := make([][]TrialRange, len(r.counts))
 	for j, c := range r.counts {
 		if j != b.SizeIdx {
@@ -954,10 +1000,9 @@ type SizeProgress struct {
 	Total int `json:"total"`
 }
 
-// Progress is one lease-scan snapshot of a run — the supervisor-facing
-// view sweepd serves as job status and watches for wedged workers: a run
-// whose Covered count and Beats sum both freeze across snapshots while
-// claims are live is making no progress.
+// Progress is one lease-scan snapshot of a run, taken without joining it:
+// a run whose Covered count and Beats sum both freeze across snapshots
+// while claims are live is making no progress.
 type Progress struct {
 	// Sizes is the per-size completion coverage, in plan order.
 	Sizes []SizeProgress `json:"sizes"`
@@ -1074,10 +1119,9 @@ func CollectLeased(st Store, prefix string, plan Plan) (*Result, error) {
 			}
 			return comps[a].c.Block.T1 < comps[b].c.Block.T1
 		})
-		lo, hi := plan.Shard.Range(counts[i])
 		var missing []TrialRange
 		var prev TrialRange
-		cur := lo
+		cur := 0
 		for _, kc := range comps {
 			c := kc.c
 			if c.Block.T0 < cur {
@@ -1090,8 +1134,8 @@ func CollectLeased(st Store, prefix string, plan Plan) (*Result, error) {
 			prev = TrialRange{T0: c.Block.T0, T1: c.Block.T1}
 			cur = c.Block.T1
 		}
-		if cur < hi {
-			missing = append(missing, TrialRange{T0: cur, T1: hi})
+		if cur < counts[i] {
+			missing = append(missing, TrialRange{T0: cur, T1: counts[i]})
 		}
 		if len(missing) > 0 {
 			return nil, &IncompleteError{N: n, Missing: missing, Prefix: prefix}

@@ -22,11 +22,11 @@ func FuzzDecodeLease(f *testing.F) {
 	valid := buf.Bytes()
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2]) // truncated mid-envelope
-	f.Add([]byte(`{"format":"sweep.lease","version":2,"payload":{}}`))
-	f.Add([]byte(`{"format":"sweep.lease","version":2,"payload":{"worker":"w","t0":4,"t1":2,"next":3}}`))
-	f.Add([]byte(`{"format":"sweep.lease","version":2,"payload":{"worker":"w","t0":0,"t1":4,"next":9}}`))
-	f.Add([]byte(`{"format":"sweep.lease","version":2,"payload":{}}`))
-	f.Add([]byte(`{"format":"sweep.completion","version":2,"payload":{}}`))
+	f.Add([]byte(`{"format":"sweep.lease","version":3,"payload":{}}`))
+	f.Add([]byte(`{"format":"sweep.lease","version":3,"payload":{"worker":"w","t0":4,"t1":2,"next":3}}`))
+	f.Add([]byte(`{"format":"sweep.lease","version":3,"payload":{"worker":"w","t0":0,"t1":4,"next":9}}`))
+	f.Add([]byte(`{"format":"sweep.lease","version":3,"payload":{}}`))
+	f.Add([]byte(`{"format":"sweep.completion","version":3,"payload":{}}`))
 	f.Add(bytes.Replace(valid, []byte(`"next"`), []byte(`"nxet"`), 1))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		l, err := DecodeLease(bytes.NewReader(data))
@@ -65,10 +65,10 @@ func FuzzDecodeCompletion(f *testing.F) {
 	valid := buf.Bytes()
 	f.Add(valid)
 	f.Add(valid[:len(valid)*2/3]) // torn write
-	f.Add([]byte(`{"format":"sweep.completion","version":2,"payload":{}}`))
-	f.Add([]byte(`{"format":"sweep.completion","version":2,"payload":{"block":{"size":0,"t0":0,"t1":4},"stats":{"n":5,"trials":3}}}`))
-	f.Add([]byte(`{"format":"sweep.completion","version":2,"payload":{"block":{"size":0,"t0":0,"t1":4},"stats":{"n":5,"trials":4,"failures":7}}}`))
-	f.Add([]byte(`{"format":"sweep.lease","version":2,"payload":{}}`))
+	f.Add([]byte(`{"format":"sweep.completion","version":3,"payload":{}}`))
+	f.Add([]byte(`{"format":"sweep.completion","version":3,"payload":{"block":{"size":0,"t0":0,"t1":4},"stats":{"n":5,"trials":3}}}`))
+	f.Add([]byte(`{"format":"sweep.completion","version":3,"payload":{"block":{"size":0,"t0":0,"t1":4},"stats":{"n":5,"trials":4,"failures":7}}}`))
+	f.Add([]byte(`{"format":"sweep.lease","version":3,"payload":{}}`))
 	f.Add(bytes.Replace(valid, []byte(`"trials"`), []byte(`"trails"`), 1))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := DecodeCompletion(bytes.NewReader(data))

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -109,57 +110,95 @@ func TestLeasedConcurrentWorkersIdentical(t *testing.T) {
 	}
 }
 
-// Static leases are the degenerate i-of-m schedule: m executors, run even
-// sequentially (no one to steal from), tile the grain set exactly once and
-// collect to the uninterrupted bytes.
-func TestLeasedStaticScheduleIdentical(t *testing.T) {
-	spec := cycleSpec(11, []int{9, 14}, 22, 2)
+// staticLeased runs spec as m static lease executors over one store, one
+// after another with their own worker pool sizes, and collects the run.
+// Static leases are the degenerate i-of-m schedule: run sequentially
+// (no one to steal from) they must tile the grain set exactly once, and
+// never steal or speculate.
+func staticLeased(t *testing.T, spec Spec, m int, workersOf func(i int) int) *Result {
+	t.Helper()
+	st := NewMemStore()
+	for i := 0; i < m; i++ {
+		s := spec
+		s.Workers = workersOf(i)
+		opts := LeaseOptions{Worker: fmt.Sprintf("static%d", i), GrainsPerSize: 4, Static: Shard{Index: i, Count: m}}
+		stats, err := RunLeased(context.Background(), s, st, opts)
+		if err != nil {
+			t.Fatalf("static shard %d/%d: %v", i, m, err)
+		}
+		if stats.Steals != 0 || stats.Speculated != 0 {
+			t.Errorf("static shard %d/%d stole or speculated: %+v", i, m, stats)
+		}
+	}
+	got, err := CollectLeased(st, "leaserun", mustPlanOf(spec))
+	if err != nil {
+		t.Fatalf("collect %d static shards: %v", m, err)
+	}
+	return got
+}
+
+// TestShardMergeIdenticalSampled: m static shards collect to the bytes of
+// a single sampled run, for m in {1, 2, 4}, across per-shard worker counts.
+func TestShardMergeIdenticalSampled(t *testing.T) {
+	spec := cycleSpec(42, []int{16, 33, 64}, 9, 1)
 	want, err := Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const m = 3
-	st := NewMemStore()
-	var total LeaseStats
-	for i := 0; i < m; i++ {
-		stats, err := RunLeased(context.Background(), spec, st, LeaseOptions{
-			Worker:        fmt.Sprintf("static%d", i),
-			GrainsPerSize: 5,
-			Static:        Shard{Index: i, Count: m},
-		})
-		if err != nil {
-			t.Fatalf("static worker %d: %v", i, err)
+	for _, m := range []int{1, 2, 3, 4} {
+		if got := staticLeased(t, spec, m, func(i int) int { return 1 + i%3 }); !reflect.DeepEqual(want, got) {
+			t.Errorf("m=%d: static shards diverge from single process\nwant: %+v\ngot:  %+v", m, want, got)
 		}
-		total.Add(stats)
 	}
-	if total.Steals != 0 || total.Speculated != 0 {
-		t.Errorf("static schedule stole or speculated: %+v", total)
-	}
-	got, err := CollectLeased(st, "leaserun", mustPlanOf(spec))
+}
+
+// TestShardMergeIdenticalExhaustive: the same guarantee for full n!
+// enumeration — rank blocks split across static shards like trials do.
+func TestShardMergeIdenticalExhaustive(t *testing.T) {
+	spec := exhaustiveSpec([]int{5, 6}, 2)
+	want, err := Run(context.Background(), spec)
 	if err != nil {
-		t.Fatalf("CollectLeased: %v", err)
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(want, got) {
-		t.Errorf("static leased aggregates differ from direct run\nwant: %+v\ngot:  %+v", want, got)
+	for _, m := range []int{1, 2, 4} {
+		if got := staticLeased(t, spec, m, func(i int) int { return 1 + i }); !reflect.DeepEqual(want, got) {
+			t.Errorf("m=%d: exhaustive static shards diverge from single process", m)
+		}
+	}
+}
+
+// TestShardMergeMoreShardsThanTrials: degenerate slicing — more shards
+// than trials leaves some shards empty; they exit at once and the collect
+// is still exact.
+func TestShardMergeMoreShardsThanTrials(t *testing.T) {
+	spec := cycleSpec(3, []int{8}, 2, 1)
+	want, err := Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := staticLeased(t, spec, 5, func(int) int { return 2 }); !reflect.DeepEqual(want, got) {
+		t.Errorf("empty-shard collect diverges:\nwant %+v\ngot  %+v", want, got)
 	}
 }
 
 // A worker killed mid-run loses nothing: a fresh worker resumes from the
-// store's completion records and the final merge is byte-identical.
+// store's completion records — the run's checkpoint — executing exactly
+// the grains they leave uncovered, and the final merge is byte-identical.
 func TestLeasedResumeAfterKill(t *testing.T) {
-	spec := cycleSpec(3, []int{8, 11}, 18, 2)
+	const trials, grains = 18, 6
+	spec := cycleSpec(3, []int{8, 11}, trials, 2)
 	want, err := Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := NewMemStore()
 	ctx, cancel := context.WithCancel(context.Background())
-	grains := 0
+	started := 0
 	_, err = RunLeased(ctx, spec, st, LeaseOptions{
 		Worker:        "victim",
-		GrainsPerSize: 6,
+		GrainsPerSize: grains,
 		Throttle: func(Block) {
-			if grains++; grains == 3 {
+			if started++; started == 3 {
 				cancel()
 			}
 		},
@@ -170,15 +209,45 @@ func TestLeasedResumeAfterKill(t *testing.T) {
 	if _, err := CollectLeased(st, "leaserun", mustPlanOf(spec)); err == nil {
 		t.Fatal("collect of a half-dead run: want IncompleteError")
 	}
+	names, err := st.List("leaserun/done/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(map[string]bool, len(names))
+	for _, name := range names {
+		done[name] = true
+	}
+	var uncovered []Block
+	g := grainSize(trials, grains)
+	for i := range spec.Sizes {
+		for t0 := 0; t0 < trials; t0 += g {
+			b := Block{SizeIdx: i, T0: t0, T1: min(t0+g, trials)}
+			if !done[completionKey("leaserun", b)] {
+				uncovered = append(uncovered, b)
+			}
+		}
+	}
+	if len(done) == 0 || len(uncovered) == 0 {
+		t.Fatalf("victim covered %d grains, left %d: the kill must land mid-run", len(done), len(uncovered))
+	}
+
+	var ran []Block
 	stats, err := RunLeased(context.Background(), spec, st, LeaseOptions{
 		Worker:        "rescuer",
-		GrainsPerSize: 6,
+		GrainsPerSize: grains,
+		Throttle:      func(b Block) { ran = append(ran, b) },
 	})
 	if err != nil {
 		t.Fatalf("rescuer: %v", err)
 	}
-	if stats.Grains == 0 {
-		t.Errorf("rescuer did no work: %+v", stats)
+	sort.Slice(ran, func(a, b int) bool {
+		if ran[a].SizeIdx != ran[b].SizeIdx {
+			return ran[a].SizeIdx < ran[b].SizeIdx
+		}
+		return ran[a].T0 < ran[b].T0
+	})
+	if !reflect.DeepEqual(ran, uncovered) || stats.Grains != len(uncovered) || stats.Duplicates != 0 {
+		t.Errorf("rescuer ran %v (%+v), want exactly the uncovered grains %v", ran, stats, uncovered)
 	}
 	got, err := CollectLeased(st, "leaserun", mustPlanOf(spec))
 	if err != nil {
@@ -205,9 +274,7 @@ func TestRunLeasedValidation(t *testing.T) {
 		{"bad worker name", base, st, LeaseOptions{Worker: "a/b c"}},
 		{"bad prefix", base, st, LeaseOptions{Worker: "w", Prefix: "../up"}},
 		{"bad static shard", base, st, LeaseOptions{Worker: "w", Static: Shard{Index: 3, Count: 2}}},
-		{"spec shard set", func() Spec { s := base; s.Shard = Shard{Index: 0, Count: 2}; return s }(), st, LeaseOptions{Worker: "w"}},
 		{"spec done set", func() Spec { s := base; s.Done = [][]TrialRange{{{T0: 0, T1: 1}}}; return s }(), st, LeaseOptions{Worker: "w"}},
-		{"spec onblock set", func() Spec { s := base; s.OnBlock = func(Block, *SizeStats) {}; return s }(), st, LeaseOptions{Worker: "w"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -392,6 +459,27 @@ func TestLeaseCodecValidation(t *testing.T) {
 	}
 }
 
+// TestInsertRangeCoalesces pins the done-range bookkeeping.
+func TestInsertRangeCoalesces(t *testing.T) {
+	var rs []TrialRange
+	for _, r := range []TrialRange{{4, 6}, {0, 2}, {6, 8}, {2, 4}} {
+		rs = insertRange(rs, r)
+	}
+	if want := []TrialRange{{0, 8}}; !reflect.DeepEqual(rs, want) {
+		t.Fatalf("coalesced ranges %v, want %v", rs, want)
+	}
+	rs = insertRange(nil, TrialRange{10, 12})
+	rs = insertRange(rs, TrialRange{0, 2})
+	rs = insertRange(rs, TrialRange{20, 22})
+	if want := []TrialRange{{0, 2}, {10, 12}, {20, 22}}; !reflect.DeepEqual(rs, want) {
+		t.Fatalf("disjoint ranges %v, want %v", rs, want)
+	}
+	rs = insertRange(rs, TrialRange{2, 10})
+	if want := []TrialRange{{0, 12}, {20, 22}}; !reflect.DeepEqual(rs, want) {
+		t.Fatalf("bridged ranges %v, want %v", rs, want)
+	}
+}
+
 func TestGrainHelpers(t *testing.T) {
 	cases := []struct{ count, grains, want int }{
 		{20, 16, 2}, {16, 16, 1}, {1, 16, 1}, {100, 16, 7}, {5, 100, 1},
@@ -413,8 +501,8 @@ func TestGrainHelpers(t *testing.T) {
 
 // A store fault mid-run — here the DirStore root vanishing under the
 // executor — must surface from RunLeased as a typed *WorkerError carrying
-// the executor's id, still unwrapping to the store's cause, so a
-// supervisor can count worker deaths while callers keep errors.Is working.
+// the executor's id, still unwrapping to the store's cause, so a caller
+// knows which executor died while errors.Is keeps working.
 func TestLeasedStoreFaultSurfacesWorkerError(t *testing.T) {
 	root := filepath.Join(t.TempDir(), "store")
 	st, err := NewDirStore(root)
@@ -470,4 +558,66 @@ func TestLeaseProgressSnapshot(t *testing.T) {
 			t.Fatalf("size %d progress = %+v", i, p.Sizes[i])
 		}
 	}
+}
+
+// One predicate decides which store faults the lease loop backs off on;
+// pin its verdicts for every error class a DirStore or MemStore returns.
+func TestIsRetryableClassification(t *testing.T) {
+	cases := []struct {
+		name string
+		err  error
+		want bool
+	}{
+		{"nil", nil, false},
+		{"cancellation", context.Canceled, false},
+		{"deadline", fmt.Errorf("scan: %w", context.DeadlineExceeded), false},
+		{"vanished root", fmt.Errorf("sweep: store put: %w", fs.ErrNotExist), false},
+		{"read-only root", fmt.Errorf("sweep: store put: %w", fs.ErrPermission), false},
+		{"corrupt record", &DecodeError{Format: FormatLease, Reason: "garbage"}, false},
+		{"unclassified media fault", errors.New("crashed mid-write"), true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := isRetryable(tc.err); got != tc.want {
+				t.Errorf("isRetryable(%v) = %v, want %v", tc.err, got, tc.want)
+			}
+		})
+	}
+}
+
+// A scan fault that is final (vanished root) must kill the executor on
+// its first occurrence instead of burning the whole retry budget; only
+// transient faults are worth the backed-off rescans.
+func TestLeaseScanFinalFaultFailsFast(t *testing.T) {
+	st := NewMemStore()
+	spec := cycleSpec(3, []int{8}, 4, 1)
+	faults := 0
+	fs1 := &faultingStore{Store: st, onList: func(prefix string) error {
+		faults++
+		return fmt.Errorf("sweep: store list: %w", fs.ErrNotExist)
+	}}
+	_, err := RunLeased(context.Background(), spec, fs1, LeaseOptions{
+		Worker: "w", StoreRetries: 5, Poll: 1,
+	})
+	if err == nil || !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("RunLeased over vanished store = %v, want fs.ErrNotExist", err)
+	}
+	if faults != 1 {
+		t.Errorf("final fault was retried %d times; isRetryable should stop the loop at 1", faults)
+	}
+}
+
+// faultingStore lets a test fail specific operations of a real store.
+type faultingStore struct {
+	Store
+	onList func(prefix string) error
+}
+
+func (s *faultingStore) List(prefix string) ([]string, error) {
+	if s.onList != nil {
+		if err := s.onList(prefix); err != nil {
+			return nil, err
+		}
+	}
+	return s.Store.List(prefix)
 }

@@ -8,19 +8,18 @@ import (
 )
 
 // This file is the PLAN layer of the engine: the serializable description
-// of what a sweep executes — seed, sizes, trial space, shard range — and
-// the deterministic chunking of that space into contiguous blocks. Plans
-// carry none of the Spec's functions (Graph, Alg, ...); they are the part
-// of a sweep that can cross a process boundary, be compared for a resume,
-// or be recorded in a checkpoint. The EXECUTE layer (execute.go) runs the
-// planned blocks through the worker pool; the MERGE layer (merge.go,
-// codec.go) folds the per-shard aggregates back together.
+// of what a sweep executes — seed, sizes, trial space — and the
+// deterministic chunking of that space into contiguous blocks. Plans carry
+// none of the Spec's functions (Graph, Alg, ...); they are the part of a
+// sweep that can cross a process boundary and identify a lease run
+// (lease.go). The EXECUTE layer (execute.go) runs the planned blocks
+// through the worker pool.
 
 // Shard selects the contiguous slice Index (0-based) of Count of every
 // size's trial space: sampled trial indices and exhaustive permutation
-// ranks partition identically, so m shard runs cover each (size, trial)
-// coordinate exactly once and their merged aggregates are byte-identical
-// to a single run. The zero value selects everything.
+// ranks partition identically, so m shards cover each (size, trial)
+// coordinate exactly once. It is the static lease schedule
+// (LeaseOptions.Static). The zero value selects everything.
 type Shard struct {
 	Index int `json:"index"`
 	Count int `json:"count"`
@@ -57,26 +56,26 @@ func (s Shard) Range(total int) (lo, hi int) {
 }
 
 // TrialRange is a half-open range [T0, T1) of trial indices (or, under
-// Exhaustive, permutation ranks) at one size — the unit checkpoints record
-// completed work in.
+// Exhaustive, permutation ranks) at one size — the unit lease coverage and
+// Spec.Done are expressed in.
 type TrialRange struct {
 	T0 int `json:"t0"`
 	T1 int `json:"t1"`
 }
 
 // Block is one schedulable unit of a plan: a contiguous trial range at one
-// size index. Blocks are what workers execute, what Spec.OnBlock observes,
-// and what checkpoints mark as done.
+// size index. Blocks are what workers execute and what lease completion
+// records cover.
 type Block struct {
 	SizeIdx int `json:"size"`
 	T0      int `json:"t0"`
 	T1      int `json:"t1"`
 }
 
-// Plan is the serializable coordinate description of one sweep shard. Two
-// processes holding equal Plans (and equivalent Spec functions) execute
-// disjoint-or-identical work depending only on Shard, so a Plan is the
-// identity a checkpoint or a shard file validates against before merging.
+// Plan is the serializable coordinate description of one sweep. Two
+// processes holding equal Plans (and equivalent Spec functions) agree on
+// every trial's coordinates, so a Plan is the identity lease executors and
+// CollectLeased validate a run against.
 type Plan struct {
 	Seed int64 `json:"seed"`
 	// Sizes is the n sweep, in Spec order.
@@ -95,9 +94,6 @@ type Plan struct {
 	// It is part of the plan's identity: two quotient plans tile the same
 	// trial space only if they quotient by the same groups.
 	Orders []uint64 `json:"orders,omitempty"`
-	// Shard is the contiguous slice of every size's trial space this plan
-	// covers; the zero value covers everything.
-	Shard Shard `json:"shard"`
 }
 
 // PlanOf derives the plan a Spec executes, normalising the trial count the
@@ -119,7 +115,6 @@ func PlanOf(spec Spec) (Plan, error) {
 		Trials:     trials,
 		Exhaustive: spec.Exhaustive,
 		Quotient:   spec.Quotient,
-		Shard:      spec.Shard,
 	}
 	if spec.Quotient {
 		graphs, err := buildGraphs(spec)
@@ -141,8 +136,7 @@ func PlanOf(spec Spec) (Plan, error) {
 // Counts returns the per-size GLOBAL trial counts the plan's coordinates
 // range over: the sampled count everywhere, the full n! rank space under
 // Exhaustive, or the n!/Orders[i] canonical rank space under Quotient.
-// This is the space Shard ranges, Done lists and lease schedules are
-// carved out of.
+// This is the space Done lists and lease schedules are carved out of.
 func (p Plan) Counts() ([]int, error) {
 	trials := p.Trials
 	if trials <= 0 {
@@ -184,7 +178,7 @@ func (p Plan) Weight(i int) int {
 // Equal reports whether two plans describe the same work.
 func (p Plan) Equal(o Plan) bool {
 	if p.Seed != o.Seed || p.Trials != o.Trials || p.Exhaustive != o.Exhaustive ||
-		p.Quotient != o.Quotient || p.Shard != o.Shard ||
+		p.Quotient != o.Quotient ||
 		len(p.Sizes) != len(o.Sizes) || len(p.Orders) != len(o.Orders) {
 		return false
 	}
@@ -254,23 +248,22 @@ func subtractRanges(lo, hi int, done []TrialRange) []TrialRange {
 	return out
 }
 
-// planBlocks chunks every size's runnable trial ranges — the shard's slice
-// of the global space minus the Done ranges — into worker-pool blocks.
+// planBlocks chunks every size's runnable trial ranges — the global space
+// minus the Done ranges — into worker-pool blocks.
 // order lists size indices largest instance first (the buffer-growth
 // heuristic of the execute layer); within a size, blocks stay in ascending
 // trial order. A few blocks per worker balances load without serialising
 // on the job channel, exactly like the pre-split engine's chunking.
-func planBlocks(order, counts []int, shard Shard, done [][]TrialRange, workers int) []Block {
+func planBlocks(order, counts []int, done [][]TrialRange, workers int) []Block {
 	blocks := make([]Block, 0, len(counts)*(4*workers+1))
-	// The common case — no resume — runs one whole range per size; a
+	// The common case — no Done list — runs one whole range per size; a
 	// stack-backed singleton keeps that path allocation-free.
 	var whole [1]TrialRange
 	for _, i := range order {
-		lo, hi := shard.Range(counts[i])
-		whole[0] = TrialRange{T0: lo, T1: hi}
+		whole[0] = TrialRange{T0: 0, T1: counts[i]}
 		runnable := whole[:]
 		if len(done) > 0 {
-			runnable = subtractRanges(lo, hi, done[i])
+			runnable = subtractRanges(0, counts[i], done[i])
 		}
 		planned := 0
 		for _, r := range runnable {

@@ -3,6 +3,7 @@ package sweep
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -100,8 +101,8 @@ func TestSoakQuotientFullFoldN10(t *testing.T) {
 }
 
 // TestQuotientShardMerge: slicing the canonical-rank space into static
-// shards and merging the partials reproduces the unsharded (and hence the
-// full-space) bytes, exactly like sharding the full rank space does.
+// lease shards and collecting the completions reproduces the full-space
+// bytes, exactly like sharding the full rank space does.
 func TestQuotientShardMerge(t *testing.T) {
 	mk := func(n int) (graph.Graph, error) { return graph.NewCycle(n) }
 	sizes := []int{6, 7}
@@ -110,15 +111,15 @@ func TestQuotientShardMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	const m = 3
-	parts := make([]*Result, m)
+	spec := quotientSpec(sizes, 2, true, mk)
+	st := NewMemStore()
 	for i := 0; i < m; i++ {
-		spec := quotientSpec(sizes, 2, true, mk)
-		spec.Shard = Shard{Index: i, Count: m}
-		if parts[i], err = Run(context.Background(), spec); err != nil {
+		opts := LeaseOptions{Worker: fmt.Sprintf("s%d", i), GrainsPerSize: 5, Static: Shard{Index: i, Count: m}}
+		if _, err := RunLeased(context.Background(), spec, st, opts); err != nil {
 			t.Fatalf("shard %d: %v", i, err)
 		}
 	}
-	merged, err := MergeResults(parts...)
+	merged, err := CollectLeased(st, "leaserun", mustPlanOf(spec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,10 +221,10 @@ func TestQuotientUnsupportedFamily(t *testing.T) {
 	}
 }
 
-// TestQuotientCheckpointResume: a quotient run interrupted after a prefix
-// of blocks resumes through Spec.Done to the same bytes — checkpointing
-// operates in representative-rank space and composes with the weighted
-// fold unchanged.
+// TestQuotientCheckpointResume: a quotient run split through Spec.Done
+// merges to the same bytes — Done ranges (what lease grains execute
+// through) live in representative-rank space and compose with the
+// weighted fold unchanged.
 func TestQuotientCheckpointResume(t *testing.T) {
 	mk := func(n int) (graph.Graph, error) { return graph.NewCycle(n) }
 	want, err := Run(context.Background(), quotientSpec([]int{6, 7}, 1, true, mk))
@@ -258,9 +259,9 @@ func TestQuotientCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged, err := MergeResults(head, rest)
-	if err != nil {
-		t.Fatal(err)
+	merged := head
+	for i := range merged.Sizes {
+		merged.Sizes[i].Merge(&rest.Sizes[i])
 	}
 	if !reflect.DeepEqual(want, merged) {
 		t.Errorf("resumed quotient run diverges\nwant:   %+v\nmerged: %+v", want, merged)

@@ -94,7 +94,7 @@ func (s *SizeStats) checkFoldWeighted(maxR int, sum measure.Summary, hist []int6
 // index, so merged shards produce bit-identical statistics at any worker
 // count.
 // The JSON tags define the stable serialized shape the versioned codec
-// (codec.go) writes into shard and checkpoint files; renaming one is a
+// (codec.go) writes into lease completion records; renaming one is a
 // format change and must bump the codec version.
 type SizeStats struct {
 	// N is the number of vertices at this sweep size.
@@ -211,7 +211,7 @@ func (s *SizeStats) addTrialWeighted(trial int, sum measure.Summary, hist []int6
 // Merge folds another partial aggregate for the same size into s. Commutes
 // with addTrial in any interleaving: integer totals add, histograms add,
 // and the extremal-trial selection depends only on (value, trial index) —
-// so worker shards, cross-process shard files and checkpoint records all
+// so worker shards and lease completion records from any process all
 // merge to the bytes a single uninterrupted run produces. o is not
 // modified, and s shares no mutable state with it afterwards.
 func (s *SizeStats) Merge(o *SizeStats) {

@@ -1,13 +1,12 @@
 package sweep
 
-// This file abstracts the MERGE layer's medium: every shard, checkpoint,
-// lease and completion record the engine persists goes through a small
-// Store interface instead of bare *os.File paths. Two implementations
+// This file abstracts the lease protocol's medium: every plan, lease and
+// completion record the engine persists goes through a small Store
+// interface instead of bare *os.File paths. Two implementations
 // ship: DirStore, the local-directory store every CLI run uses (atomic
 // temp+rename writes, so a kill mid-Put never leaves a torn object), and
 // MemStore, an in-memory store whose fault hooks let the chaos suite
-// inject torn and failed writes deterministically. An S3-style object
-// store slots in behind the same four methods later.
+// inject torn and failed writes deterministically.
 //
 // Store names are '/'-separated paths of safe segments (letters, digits,
 // '.', '_', '-'); the lease protocol (lease.go) builds its run layout out
@@ -172,8 +171,7 @@ func (s *DirStore) Delete(name string) error {
 
 // atomicWriteFile writes data to path via a temp file in the same
 // directory, synced and renamed into place — the write either fully
-// happens or leaves the previous content. Shared by DirStore.Put and the
-// checkpoint layer's SaveFile.
+// happens or leaves the previous content.
 func atomicWriteFile(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".tmp-*")

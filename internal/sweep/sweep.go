@@ -9,28 +9,29 @@
 // loop all of them used to hand-roll, and adds what a full-size table needs.
 // It is organised as three explicit layers:
 //
-//   - PLAN (plan.go): a serializable description of the work — seed, sizes,
-//     trial space, and a contiguous shard range. Sampled trial indices and
-//     exhaustive permutation ranks partition identically, so a Plan means
-//     the same thing to every process that holds it.
-//   - EXECUTE (execute.go, this file's Run): the worker pool running one
-//     plan shard. Each worker owns a local.Runner, so ball builders, label
+//   - PLAN (plan.go): a serializable description of the work — seed, sizes
+//     and trial space. Sampled trial indices and exhaustive permutation
+//     ranks partition identically, so a Plan means the same thing to every
+//     process that holds it.
+//   - EXECUTE (execute.go, this file's Run): the worker pool running the
+//     plan's blocks. Each worker owns a local.Runner, so ball builders, label
 //     slices and result buffers are recycled across every trial the worker
 //     executes — steady-state sweeps allocate almost nothing. Trials are
 //     chunked into contiguous blocks (Spec.Workers bounds the pool, default
 //     GOMAXPROCS) and fold into O(sizes)-memory SizeStats — integer totals,
 //     extremal-trial summaries, pooled radius histograms — never into
 //     per-trial slices.
-//   - MERGE (merge.go, codec.go, checkpoint.go): exported deterministic
-//     aggregate merging plus a stable versioned codec, so partial
-//     aggregates survive process boundaries: shard files from m processes
-//     merge to the bytes a single process produces, and a checkpoint file
-//     resumes an interrupted sweep from its last completed block.
+//   - DISTRIBUTE (lease.go, store.go, codec.go): work-stealing grain leases
+//     over a Store. Any number of executors, in any number of processes,
+//     cooperate on one plan; each grain's aggregate is published as an
+//     immutable completion record, so a killed executor resumes by simply
+//     running again, and CollectLeased folds the records to the bytes a
+//     single process produces.
 //
 // Determinism is the package contract: each (size, trial) derives its own
 // rng seed from the sweep seed and its coordinates alone, and all folds
 // commute (ties broken by trial index), so a given seed produces
-// bit-identical results at any worker count, across any shard partition,
+// bit-identical results at any worker count, across any grain schedule,
 // and through any kill/resume sequence. Cancellation is prompt: the context
 // is polled between vertices, trials and blocks; a cancelled Run returns
 // the partial aggregates and a wrapped context error.
@@ -48,7 +49,7 @@ import (
 	"repro/internal/local"
 )
 
-// Spec describes one sharded permutation sweep.
+// Spec describes one permutation sweep.
 type Spec struct {
 	// Seed drives all randomness. Equal seeds reproduce results exactly,
 	// independent of Workers.
@@ -83,25 +84,12 @@ type Spec struct {
 	// Graphs that do not declare a group fail with
 	// *QuotientUnsupportedError, mirroring the implicit backend's decline.
 	Quotient bool
-	// Shard restricts the run to the contiguous slice Shard.Index of
-	// Shard.Count of every size's trial space (sampled indices or
-	// exhaustive ranks alike). The zero value runs everything. Partial
-	// aggregates from all Shard.Count processes merge (MergeResults) to
-	// bytes identical to an unsharded run.
-	Shard Shard
-	// Done lists, per size index, ascending non-overlapping trial ranges a
-	// previous run already executed (a checkpoint's record): planned blocks
-	// cover the shard's complement of Done, and the returned aggregates
-	// contain only the newly executed trials — merge them with the
-	// checkpoint's to recover the full shard. Empty means nothing is done.
+	// Done lists, per size index, ascending non-overlapping trial ranges to
+	// skip: planned blocks cover the complement of Done, and the returned
+	// aggregates contain only the executed trials. Lease executors use it to
+	// run exactly one grain through the ordinary engine. Empty means run
+	// everything.
 	Done [][]TrialRange
-	// OnBlock, when set, observes every fully completed block together with
-	// the block's own partial aggregate (checkpoint writers fold these).
-	// Called from worker goroutines — must be safe for concurrent use — and
-	// partial is only valid during the call. Blocks cut short by
-	// cancellation are not reported: their trials still appear in the
-	// returned partial Result, but a resume re-executes them.
-	OnBlock func(b Block, partial *SizeStats)
 	// Workers bounds the worker pool (default GOMAXPROCS).
 	Workers int
 	// MaxRadius overrides the engine's safety cap when positive.
@@ -132,12 +120,6 @@ type Spec struct {
 	// a trial check, or the sweep restricted to Trials = 1. A slot keyed by
 	// sizeIdx alone races between the trials that share the size.
 	Observe func(sizeIdx, trial int, g graph.Graph, a ids.Assignment, res *local.Result)
-	// NoAtlas disables the shared per-size ball atlas. By default the sweep
-	// builds one graph.BallAtlas per size and every worker serves its views
-	// from it, turning the per-trial inner loop from BFS + adjacency
-	// rebuild into relabel + decide; ball structure is permutation-
-	// invariant, so results are byte-identical either way.
-	NoAtlas bool
 	// NoKernels pins atlas-backed runs to the per-vertex view path even for
 	// algorithms implementing local.Kernel. By default a kernel-capable
 	// algorithm decides every vertex in one flat pass over the atlas
@@ -154,13 +136,12 @@ type Spec struct {
 	// Results are byte-identical across backends for equal seeds; the
 	// implicit backend is what holds sweep memory to O(workers) at
 	// n = 10^6..10^8. BackendImplicit requires every size's graph to
-	// implement graph.Implicit with a comparable dynamic type, and explicit
-	// non-builder backends conflict with NoAtlas.
+	// implement graph.Implicit with a comparable dynamic type.
 	Backend Backend
 	// StreamIDs replaces the default buffered identifier draw
 	// (ids.RandomInto) with the streaming permutation family
 	// (ids.StreamInto): each trial's assignment is a seeded O(1)-per-vertex
-	// Feistel bijection, deterministic across workers, shards and backends.
+	// Feistel bijection, deterministic across workers, grains and backends.
 	// The permutations differ from the default family's, so StreamIDs
 	// changes result bytes — it is part of the sweep's identity, like Seed.
 	// Incompatible with Assign and Exhaustive (both already define their
@@ -282,9 +263,6 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 		return nil, &SpecConflictError{Fields: []string{"Quotient", "Exhaustive"},
 			Reason: "Quotient compresses the exhaustive rank space; set Exhaustive too"}
 	}
-	if err := spec.Shard.validate(); err != nil {
-		return nil, err
-	}
 	if spec.StreamIDs {
 		if spec.Assign != nil {
 			return nil, &SpecConflictError{Fields: []string{"StreamIDs", "Assign"},
@@ -321,8 +299,8 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 	// Per-size trial counts of the GLOBAL space: the sampled count
 	// everywhere, the full n! rank space under Exhaustive, or the
 	// canonical n!/|Aut| rank space under Quotient — with weights[i]
-	// restoring the full space's mass through the weighted fold. The shard
-	// range and the Done complement are carved out of these below.
+	// restoring the full space's mass through the weighted fold. The Done
+	// complement is carved out of these below.
 	trials := spec.Trials
 	if trials <= 0 {
 		trials = 1
@@ -390,7 +368,7 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 			order[k], order[k-1] = order[k-1], order[k]
 		}
 	}
-	blocks := planBlocks(order, counts, spec.Shard, spec.Done, workers)
+	blocks := planBlocks(order, counts, spec.Done, workers)
 	planned := plannedTrials(blocks)
 	if workers > planned && planned > 0 {
 		workers = planned

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -105,7 +106,7 @@ func TestMatchesSequentialLoop(t *testing.T) {
 // optimisation.
 func TestAtlasOnOffIdentical(t *testing.T) {
 	base := cycleSpec(17, []int{16, 33, 64}, 7, 1)
-	base.NoAtlas = true
+	base.Backend = BackendBuilder
 	want, err := Run(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +127,7 @@ func TestAtlasOnOffIdentical(t *testing.T) {
 // sweep whose atlases exhaust mid-run still emits identical tables.
 func TestAtlasMemLimitFallbackIdentical(t *testing.T) {
 	base := cycleSpec(21, []int{48}, 6, 2)
-	base.NoAtlas = true
+	base.Backend = BackendBuilder
 	want, err := Run(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
@@ -155,12 +156,12 @@ func TestAtlasAcrossFamilies(t *testing.T) {
 		spec := cycleSpec(5, []int{25}, 4, 3)
 		spec.Graph = build
 		spec.Verify = nil // GNP may be disconnected; skip the ring verifier
-		spec.NoAtlas = true
+		spec.Backend = BackendBuilder
 		want, err := Run(context.Background(), spec)
 		if err != nil {
 			t.Fatalf("%s builder: %v", name, err)
 		}
-		spec.NoAtlas = false
+		spec.Backend = BackendAuto
 		got, err := Run(context.Background(), spec)
 		if err != nil {
 			t.Fatalf("%s atlas: %v", name, err)
@@ -356,4 +357,91 @@ func TestMap(t *testing.T) {
 	if err := Map(ctx, 4, 1000, func(int) error { return nil }); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled Map error = %v", err)
 	}
+}
+
+// TestCancelledFinishMergesExactly is the direct coverage of the cancelled
+// path through finish: the partial aggregates of a context-cancelled run
+// must equal — byte for byte — the fold of exactly the trials that
+// completed, and those trials must merge split-wise to the same bytes.
+func TestCancelledFinishMergesExactly(t *testing.T) {
+	const (
+		seed   = 31
+		n      = 16
+		trials = 5000
+	)
+	spec := cycleSpec(seed, []int{n}, trials, 4)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var completed [trials]atomic.Bool
+	var count atomic.Int32
+	spec.Observe = func(_, trial int, _ graph.Graph, _ ids.Assignment, _ *local.Result) {
+		completed[trial].Store(true)
+		if count.Add(1) == 40 {
+			cancel()
+		}
+	}
+	res, err := Run(ctx, spec)
+	if err == nil {
+		t.Fatal("cancelled sweep returned nil error; cannot exercise the partial path")
+	}
+	if res.Sizes[0].Trials >= trials {
+		t.Fatal("cancellation completed everything; nothing partial to check")
+	}
+
+	// Recompute every completed trial independently and fold it the way the
+	// engine does — Observe fires immediately before the engine's own fold,
+	// with no cancellation point between, so the recorded set IS the
+	// aggregated set.
+	c := graph.MustCycle(n)
+	want := SizeStats{N: n}
+	var firstHalf, secondHalf SizeStats
+	firstHalf.N, secondHalf.N = n, n
+	folded := 0
+	for trial := 0; trial < trials; trial++ {
+		if !completed[trial].Load() {
+			continue
+		}
+		rng := rand.New(rand.NewSource(trialSeed(seed, 0, trial)))
+		r, err := local.RunView(c, ids.Random(n, rng), largestid.Pruning{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hist := histOf(r.Radii)
+		sum := summarizeHist(hist)
+		want.addTrial(trial, sum, hist, false)
+		if folded%2 == 0 {
+			firstHalf.addTrial(trial, sum, hist, false)
+		} else {
+			secondHalf.addTrial(trial, sum, hist, false)
+		}
+		folded++
+	}
+	if folded != res.Sizes[0].Trials {
+		t.Fatalf("observed %d completed trials, aggregate counted %d", folded, res.Sizes[0].Trials)
+	}
+	if !reflect.DeepEqual(res.Sizes[0], want) {
+		t.Errorf("cancelled partial aggregates diverge from the completed trials\ngot  %+v\nwant %+v", res.Sizes[0], want)
+	}
+
+	// The same trials split across two partials must merge to the
+	// identical bytes — the guarantee lease completion records rest on.
+	merged := SizeStats{N: n}
+	merged.Merge(&secondHalf)
+	merged.Merge(&firstHalf)
+	if !reflect.DeepEqual(merged, want) {
+		t.Errorf("split-and-merge of the completed trials diverges\ngot  %+v\nwant %+v", merged, want)
+	}
+}
+
+// histOf builds one trial's radius histogram, trimmed to its max radius —
+// the exact shape the engine folds.
+func histOf(radii []int) []int64 {
+	var hist []int64
+	for _, r := range radii {
+		for len(hist) <= r {
+			hist = append(hist, 0)
+		}
+		hist[r]++
+	}
+	return hist
 }
