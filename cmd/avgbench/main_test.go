@@ -140,7 +140,9 @@ func TestRunWorkers(t *testing.T) {
 	}
 }
 
-func TestRunBuilderBackend(t *testing.T) {
+// TestRunNoAtlas: the atlas-free path is -backend builder; the retired
+// -noatlas flag is refused.
+func TestRunNoAtlas(t *testing.T) {
 	if err := run([]string{"-e", "E6", "-sizes", "16,32", "-trials", "3", "-backend", "builder"}); err != nil {
 		t.Errorf("builder backend: %v", err)
 	}

@@ -110,6 +110,41 @@ func TestLeasedConcurrentWorkersIdentical(t *testing.T) {
 	}
 }
 
+// Static leases are the degenerate i-of-m schedule: m executors, run even
+// sequentially (no one to steal from), tile the grain set exactly once and
+// collect to the uninterrupted bytes.
+func TestLeasedStaticScheduleIdentical(t *testing.T) {
+	spec := cycleSpec(11, []int{9, 14}, 22, 2)
+	want, err := Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const m = 3
+	st := NewMemStore()
+	var total LeaseStats
+	for i := 0; i < m; i++ {
+		stats, err := RunLeased(context.Background(), spec, st, LeaseOptions{
+			Worker:        fmt.Sprintf("static%d", i),
+			GrainsPerSize: 5,
+			Static:        Shard{Index: i, Count: m},
+		})
+		if err != nil {
+			t.Fatalf("static worker %d: %v", i, err)
+		}
+		total.Add(stats)
+	}
+	if total.Steals != 0 || total.Speculated != 0 {
+		t.Errorf("static schedule stole or speculated: %+v", total)
+	}
+	got, err := CollectLeased(st, "leaserun", mustPlanOf(spec))
+	if err != nil {
+		t.Fatalf("CollectLeased: %v", err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Errorf("static leased aggregates differ from direct run\nwant: %+v\ngot:  %+v", want, got)
+	}
+}
+
 // staticLeased runs spec as m static lease executors over one store, one
 // after another with their own worker pool sizes, and collects the run.
 // Static leases are the degenerate i-of-m schedule: run sequentially
@@ -145,7 +180,7 @@ func TestShardMergeIdenticalSampled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range []int{1, 2, 3, 4} {
+	for _, m := range []int{1, 2, 4} {
 		if got := staticLeased(t, spec, m, func(i int) int { return 1 + i%3 }); !reflect.DeepEqual(want, got) {
 			t.Errorf("m=%d: static shards diverge from single process\nwant: %+v\ngot:  %+v", m, want, got)
 		}
