@@ -34,7 +34,6 @@ func TestLeaseFlagValidation(t *testing.T) {
 		{"-e", "E6", "-store", dir},                                    // no schedule
 		{"-e", "E6", "-store", dir, "-lease", "-shard", "0/2"},         // two schedules
 		{"-e", "all", "-store", dir, "-lease"},                         // needs one experiment
-		{"-e", "E3", "-store", dir, "-lease"},                          // E3 not shardable
 		{"-e", "E6", "-worker", "w"},                                   // -worker without -store
 		{"-e", "E6", "-grains", "4"},                                   // -grains without -store
 		{"-e", "E6", "-store", dir, "-lease", "-worker", "bad worker"}, // not store-name-safe

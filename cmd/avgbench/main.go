@@ -21,10 +21,10 @@
 //	avgbench -e E12                      # quotient vs full n! fold, diffed field by field
 //	avgbench -e E6 -cpuprofile cpu.pb.gz -memprofile mem.pb.gz
 //
-// Distributed runs (experiments exposing their sweeps) are leased over a
-// shared store directory: start any number of executors against one store,
-// at any time; they lease grain-aligned trial ranges, steal straggler
-// tails, and re-execute dead workers' claims. Every executor that returns
+// Distributed runs of any experiment are leased over a shared store
+// directory: start any number of executors against one store, at any
+// time; they lease grain-aligned trial ranges, steal straggler tails, and
+// re-execute dead workers' claims. Every executor that returns
 // prints the same bytes. A killed run resumes by running the executor
 // again — the store's completion records are its checkpoint:
 //
@@ -143,9 +143,6 @@ func run(args []string) error {
 	if *storeFlag != "" {
 		if len(selected) != 1 {
 			return fmt.Errorf("-store needs a single -e experiment, not %q", *expID)
-		}
-		if !selected[0].Shardable() {
-			return fmt.Errorf("%s does not expose its sweeps; it cannot run leased", selected[0].ID)
 		}
 		if *leaseFlag == (*shardFlag != "") {
 			return fmt.Errorf("-store needs exactly one schedule: -lease (work stealing) or -shard I/M (static)")

@@ -79,7 +79,6 @@ func TestShardFlagValidation(t *testing.T) {
 		{"-e", "E6", "-store", dir, "-shard", "0"},           // malformed
 		{"-e", "E6", "-store", dir, "-shard", "x/2"},         // malformed
 		{"-e", "all", "-store", dir, "-shard", "0/2"},        // needs one experiment
-		{"-e", "E3", "-store", dir, "-shard", "0/2"},         // E3 not shardable
 		{"-e", "E6", "-shard", "0/2", "-out", "s.json"},      // shard files are gone
 		{"-e", "E6", "-checkpoint", filepath.Join(dir, "c")}, // checkpoint files are gone
 	}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/algorithms/coloring"
 	"repro/internal/algorithms/largestid"
 	"repro/internal/algorithms/mis"
-	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/ids"
 	"repro/internal/linial"
@@ -16,8 +15,8 @@ import (
 )
 
 // TestIntegrationMatrix runs every algorithm on every topology it supports,
-// end to end through the public façade, with verified outputs — the
-// "does the whole system hang together" sweep.
+// end to end through the view engine, with verified outputs — the "does
+// the whole system hang together" sweep.
 func TestIntegrationMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(90))
 
@@ -92,12 +91,15 @@ func TestIntegrationMatrix(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			for gi, g := range tc.graphs {
 				a := ids.Random(g.N(), rng)
-				ev, err := core.Evaluate(g, a, tc.alg(a), tc.problem)
+				res, err := local.RunView(g, a, tc.alg(a))
 				if err != nil {
 					t.Fatalf("graph %d (n=%d): %v", gi, g.N(), err)
 				}
-				if ev.Classic < 0 || ev.Average < 0 {
-					t.Fatalf("graph %d: nonsensical measures %+v", gi, ev)
+				if err := tc.problem.Verify(g, a, res.Outputs); err != nil {
+					t.Fatalf("graph %d (n=%d): output rejected: %v", gi, g.N(), err)
+				}
+				if res.MaxRadius() < 0 || res.AvgRadius() < 0 {
+					t.Fatalf("graph %d: nonsensical measures max=%d avg=%v", gi, res.MaxRadius(), res.AvgRadius())
 				}
 			}
 		})
@@ -155,15 +157,21 @@ func TestIntegrationSynthesizedVsClassic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmp, err := core.Compare(g, a, table, coloring.ForMaxID(5), problems.Coloring{K: 3})
-	if err != nil {
-		t.Fatal(err)
+	classic := make([]int, 2)
+	for i, alg := range []local.ViewAlgorithm{table, coloring.ForMaxID(5)} {
+		res, err := local.RunView(g, a, alg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := (problems.Coloring{K: 3}).Verify(g, a, res.Outputs); err != nil {
+			t.Fatalf("%s output rejected: %v", alg.Name(), err)
+		}
+		classic[i] = res.MaxRadius()
 	}
-	if cmp.A.Classic >= cmp.B.Classic {
-		t.Errorf("synthesized table (max %d) not faster than Cole-Vishkin (max %d)",
-			cmp.A.Classic, cmp.B.Classic)
+	if classic[0] >= classic[1] {
+		t.Errorf("synthesized table (max %d) not faster than Cole-Vishkin (max %d)", classic[0], classic[1])
 	}
-	if cmp.A.Classic != 1 {
-		t.Errorf("synthesized table max radius %d, want 1", cmp.A.Classic)
+	if classic[0] != 1 {
+		t.Errorf("synthesized table max radius %d, want 1", classic[0])
 	}
 }

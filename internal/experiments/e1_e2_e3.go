@@ -22,9 +22,7 @@ func verifyLargestID(g graph.Graph, a ids.Assignment, res *local.Result) error {
 
 // e1 reproduces the worst-case claim of §2: the largest-ID problem has
 // linear classic complexity — the maximum-ID vertex must see the whole
-// cycle, radius floor(n/2), under EVERY permutation. Split into
-// Sweeps/Tabulate so the sweep can lease across executors; the registry
-// derives Run from the pair.
+// cycle, radius floor(n/2), under EVERY permutation.
 func e1() Experiment {
 	return Experiment{
 		ID:    "E1",
@@ -130,19 +128,23 @@ func e2() Experiment {
 
 // e3 reproduces the recurrence analysis of §2: a(p) computed by the
 // recurrence equals OEIS A000788 term-by-term and grows as Θ(n ln n). The
-// closed-form evaluation over the whole range is sharded with sweep.Map.
+// table is pure arithmetic from the config, so E3 has no sweeps and does
+// all its work in Tabulate; the closed-form evaluation over the whole range
+// is spread across the worker pool with sweep.Map.
 func e3() Experiment {
 	return Experiment{
-		ID:    "E3",
-		Title: "Recurrence a(p) = A000788(p) = Θ(n ln n)",
-		Claim: "§2: \"this sequence ... is known to be in θ(n ln n) (see A000788)\"",
-		Run: func(ctx context.Context, cfg Config) (*Table, error) {
+		ID:     "E3",
+		Title:  "Recurrence a(p) = A000788(p) = Θ(n ln n)",
+		Claim:  "§2: \"this sequence ... is known to be in θ(n ln n) (see A000788)\"",
+		Sweeps: func(Config) ([]sweep.Spec, error) { return nil, nil },
+		Tabulate: func(cfg Config, _ []*sweep.Result) (*Table, error) {
 			sizes := sizesOrDefault(cfg, []int{4, 16, 64, 256, 1024, 4096, 16384, 65536})
 			maxP := 0
 			for _, p := range sizes {
-				if p > maxP {
-					maxP = p
+				if p < 0 {
+					return nil, fmt.Errorf("experiments: E3: size %d is negative; a(p) is defined for p >= 0", p)
 				}
+				maxP = max(maxP, p)
 			}
 			a, err := analytic.Recurrence(maxP)
 			if err != nil {
@@ -151,7 +153,7 @@ func e3() Experiment {
 			// Term-by-term closed forms over the whole range, not just the
 			// rows, computed across the worker pool.
 			closed := make([]int64, maxP+1)
-			if err := sweep.Map(ctx, cfg.Workers, maxP+1, func(p int) error {
+			if err := sweep.Map(context.Background(), cfg.Workers, maxP+1, func(p int) error {
 				c, err := analytic.A000788(int64(p))
 				if err != nil {
 					return err

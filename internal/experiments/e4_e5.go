@@ -28,25 +28,18 @@ func e4() Experiment {
 		ID:    "E4",
 		Title: "3-colouring upper bound: Cole-Vishkin radius is O(log* n), avg ≈ max",
 		Claim: "§3: \"it is possible to 3-colour the n-node ring in O(log* n) rounds even without the knowledge of n\"",
-		Run: func(ctx context.Context, cfg Config) (*Table, error) {
+		Sweeps: func(cfg Config) ([]sweep.Spec, error) {
 			defSizes := []int{16, 64, 256, 1024, 4096, 16384, 65536}
-
-			cvSpec := cycleSpec(cfg, defSizes, 1)
-			cvSpec.Alg = func(_ int, a ids.Assignment) local.ViewAlgorithm { return coloring.ForMaxID(a.MaxID()) }
-			cvSpec.Verify = verifyColoring
-			cvRes, err := sweep.Run(ctx, configSpec(cvSpec, cfg))
-			if err != nil {
-				return nil, err
-			}
-
-			uniSpec := cycleSpec(cfg, defSizes, 1)
-			uniSpec.Alg = func(int, ids.Assignment) local.ViewAlgorithm { return coloring.Uniform{} }
-			uniSpec.Verify = verifyColoring
-			uniRes, err := sweep.Run(ctx, configSpec(uniSpec, cfg))
-			if err != nil {
-				return nil, err
-			}
-
+			cv := cycleSpec(cfg, defSizes, 1)
+			cv.Alg = func(_ int, a ids.Assignment) local.ViewAlgorithm { return coloring.ForMaxID(a.MaxID()) }
+			cv.Verify = verifyColoring
+			uni := cycleSpec(cfg, defSizes, 1)
+			uni.Alg = func(int, ids.Assignment) local.ViewAlgorithm { return coloring.Uniform{} }
+			uni.Verify = verifyColoring
+			return []sweep.Spec{cv, uni}, nil
+		},
+		Tabulate: func(cfg Config, results []*sweep.Result) (*Table, error) {
+			cvRes, uniRes := results[0], results[1]
 			t := &Table{
 				Title:   "E4: Cole-Vishkin (known ID bits) and uniform variant (no knowledge)",
 				Columns: []string{"n", "log*(n)", "cvMax", "cvAvg", "uniMax", "uniAvg", "verified"},
@@ -54,12 +47,8 @@ func e4() Experiment {
 			worstCV, worstUni := 0, 0
 			for i, cv := range cvRes.Sizes {
 				uni := uniRes.Sizes[i]
-				if cv.WorstMax.Max > worstCV {
-					worstCV = cv.WorstMax.Max
-				}
-				if uni.WorstMax.Max > worstUni {
-					worstUni = uni.WorstMax.Max
-				}
+				worstCV = max(worstCV, cv.WorstMax.Max)
+				worstUni = max(worstUni, uni.WorstMax.Max)
 				t.AddRow(ci(cv.N), ci(analytic.LogStar(float64(cv.N))), ci(cv.WorstMax.Max), cf(cv.WorstAvg.Avg),
 					ci(uni.WorstMax.Max), cf(uni.WorstAvg.Avg), cb(cv.Verified() && uni.Verified()))
 			}
@@ -73,78 +62,73 @@ func e4() Experiment {
 // e5 reproduces Theorem 1's construction: the adversarial permutation pi
 // keeps the average radius of a 3-colouring algorithm at its Ω(log* n)
 // floor; even the most favourable identifier arrangement cannot beat it.
-// The three permutation regimes (favourable, random, adversarial) are three
-// sweeps sharing the seed; the adversarial builders run concurrently across
+// The favourable and random regimes are two sweeps sharing the seed. The
+// adversarial row is built in Tabulate, because its one execution per size
+// also yields the Lemma 3 constant; the builders run concurrently across
 // sizes, which is where E5's wall-clock goes.
 func e5() Experiment {
+	defSizes := []int{64, 128, 256, 512}
 	return Experiment{
 		ID:    "E5",
 		Title: "3-colouring lower bound: adversarial pi keeps the average at Ω(log* n)",
 		Claim: "Theorem 1 and its slice construction (§3)",
-		Run: func(ctx context.Context, cfg Config) (*Table, error) {
-			defSizes := []int{64, 128, 256, 512}
+		Sweeps: func(cfg Config) ([]sweep.Spec, error) {
 			alg := func(int, ids.Assignment) local.ViewAlgorithm { return coloring.Uniform{} }
-
 			// Favourable arrangement: sorted magnitudes cluster small
 			// identifiers, maximising early phase-0 commitments.
-			favSpec := cycleSpec(cfg, defSizes, 1)
+			fav := cycleSpec(cfg, defSizes, 1)
 			// One deterministic assignment per size: extra trials would be
 			// byte-identical reruns.
-			favSpec.Trials = 1
-			favSpec.Alg = alg
-			favSpec.Assign = assignFixed(func(n int) (ids.Assignment, error) { return ids.Identity(n), nil })
-			favRes, err := sweep.Run(ctx, configSpec(favSpec, cfg))
-			if err != nil {
-				return nil, err
+			fav.Trials = 1
+			fav.Alg = alg
+			fav.Assign = assignFixed(func(n int) (ids.Assignment, error) { return ids.Identity(n), nil })
+			rnd := cycleSpec(cfg, defSizes, 1)
+			rnd.Trials = 1
+			rnd.Alg = alg
+			return []sweep.Spec{fav, rnd}, nil
+		},
+		Tabulate: func(cfg Config, results []*sweep.Result) (*Table, error) {
+			favRes, rndRes := results[0], results[1]
+			sizes := sizesOrDefault(cfg, defSizes)
+			// The adversarial row: one Theorem-1 build per size, drawing from
+			// the rng seed the engine gives that size's trial 0, and one
+			// execution of the uniform colouring on the result.
+			type adversarial struct {
+				report   *adversary.Report
+				avg      float64
+				lemma3   float64
+				verified bool
 			}
-
-			rndSpec := cycleSpec(cfg, defSizes, 1)
-			rndSpec.Trials = 1
-			rndSpec.Alg = alg
-			rndRes, err := sweep.Run(ctx, configSpec(rndSpec, cfg))
-			if err != nil {
-				return nil, err
-			}
-
-			advSpec := cycleSpec(cfg, defSizes, 1)
-			// Exactly one adversarial build per size: the reports and lemma3
-			// slots below are per-size, so multiple trials would race on
-			// them (and burn a builder run each).
-			advSpec.Trials = 1
-			sizes := advSpec.Sizes
-			reports := make([]*adversary.Report, len(sizes))
-			lemma3s := make([]float64, len(sizes))
-			advSpec.Alg = alg
-			advSpec.Assign = func(sizeIdx, n, _ int, rng *rand.Rand) (ids.Assignment, error) {
-				builder := adversary.Builder{Alg: coloring.Uniform{}}
-				pi, report, err := builder.Build(n, rng)
+			advs := make([]adversarial, len(sizes))
+			if err := sweep.Map(context.Background(), cfg.Workers, len(sizes), func(i int) error {
+				rng := rand.New(rand.NewSource(sweep.TrialSeed(cfg.Seed, i, 0)))
+				pi, report, err := adversary.Builder{Alg: coloring.Uniform{}}.Build(sizes[i], rng)
 				if err != nil {
-					return nil, err
+					return err
 				}
-				reports[sizeIdx] = report
-				return pi, nil
-			}
-			advSpec.Verify = verifyColoring
-			advSpec.Observe = func(sizeIdx, _ int, g graph.Graph, _ ids.Assignment, res *local.Result) {
-				if c, ok := g.(graph.Cycle); ok {
-					if r, ok := adversary.Lemma3Ratio(c, res.Radii); ok {
-						lemma3s[sizeIdx] = r
-					}
+				c, err := graph.NewCycle(sizes[i])
+				if err != nil {
+					return err
 				}
-			}
-			advRes, err := sweep.Run(ctx, configSpec(advSpec, cfg))
-			if err != nil {
+				res, err := local.RunView(c, pi, coloring.Uniform{})
+				if err != nil {
+					return err
+				}
+				advs[i] = adversarial{report: report, avg: res.AvgRadius(), verified: verifyColoring(c, pi, res) == nil}
+				if r, ok := adversary.Lemma3Ratio(c, res.Radii); ok {
+					advs[i].lemma3 = r
+				}
+				return nil
+			}); err != nil {
 				return nil, err
 			}
-
 			t := &Table{
 				Title:   "E5: uniform 3-colouring under favourable / random / adversarial permutations",
 				Columns: []string{"n", "favAvg", "rndAvg", "advAvg", "slices", "sliceR", "lemma3min", "verified"},
 			}
-			for i, adv := range advRes.Sizes {
-				report := reports[i]
-				t.AddRow(ci(adv.N), cf(favRes.Sizes[i].WorstAvg.Avg), cf(rndRes.Sizes[i].WorstAvg.Avg),
-					cf(adv.WorstAvg.Avg), ci(report.Slices), ci(report.TargetRadius), cf(lemma3s[i]), cb(adv.Verified()))
+			for i, adv := range advs {
+				t.AddRow(ci(sizes[i]), cf(favRes.Sizes[i].WorstAvg.Avg), cf(rndRes.Sizes[i].WorstAvg.Avg),
+					cf(adv.avg), ci(adv.report.Slices), ci(adv.report.TargetRadius), cf(adv.lemma3), cb(adv.verified))
 			}
 			t.AddNote("no arrangement pushes the average below the Ω(log* n) floor; the adversarial pi pins slice centres to radius >= R")
 			t.AddNote("lemma3min is the empirical constant of Lemma 3 (avg radius near a radius-r vertex / r)")

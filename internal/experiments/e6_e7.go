@@ -1,14 +1,12 @@
 package experiments
 
 import (
-	"context"
 	"math"
 
 	"repro/internal/algorithms/coloring"
 	"repro/internal/algorithms/largestid"
 	"repro/internal/algorithms/mis"
 	"repro/internal/analytic"
-	"repro/internal/graph"
 	"repro/internal/ids"
 	"repro/internal/local"
 	"repro/internal/measure"
@@ -59,6 +57,20 @@ func e6() Experiment {
 	}
 }
 
+// e7Entries are E7's algorithms, one sweep each, grouped by the problem
+// they solve.
+var e7Entries = []struct {
+	problem string
+	alg     func(a ids.Assignment) local.ViewAlgorithm
+}{
+	{"largestID", func(ids.Assignment) local.ViewAlgorithm { return largestid.Pruning{} }},
+	{"3-coloring", func(a ids.Assignment) local.ViewAlgorithm { return coloring.ForMaxID(a.MaxID()) }},
+	{"3-coloring", func(ids.Assignment) local.ViewAlgorithm { return coloring.Uniform{} }},
+	{"MIS", func(a ids.Assignment) local.ViewAlgorithm {
+		return mis.FromColoring{Base: coloring.ForMaxID(a.MaxID())}
+	}},
+}
+
 // e7 addresses the characterisation question of §4: for which problems do
 // the two measures separate? Largest ID separates exponentially; colouring
 // and MIS do not separate at all. One sweep per algorithm; the sweeps share
@@ -69,57 +81,36 @@ func e7() Experiment {
 		ID:    "E7",
 		Title: "Problem characterisation: max/avg separation by problem",
 		Claim: "§4: \"It would be interesting to characterise the problems of the first and second types\"",
-		Run: func(ctx context.Context, cfg Config) (*Table, error) {
-			defSizes := []int{64, 256, 1024, 4096}
-			type entry struct {
-				problem string
-				alg     func(a ids.Assignment) local.ViewAlgorithm
-			}
-			entries := []entry{
-				{"largestID", func(ids.Assignment) local.ViewAlgorithm { return largestid.Pruning{} }},
-				{"3-coloring", func(a ids.Assignment) local.ViewAlgorithm { return coloring.ForMaxID(a.MaxID()) }},
-				{"3-coloring", func(ids.Assignment) local.ViewAlgorithm { return coloring.Uniform{} }},
-				{"MIS", func(a ids.Assignment) local.ViewAlgorithm {
-					return mis.FromColoring{Base: coloring.ForMaxID(a.MaxID())}
-				}},
-			}
-
-			type sweepOut struct {
-				stats []sweep.SizeStats
-				names []string
-			}
-			outs := make([]sweepOut, len(entries))
-			for ei, e := range entries {
-				spec := cycleSpec(cfg, defSizes, 1)
-				// One assignment per size: the names slots below are
-				// per-size, so multiple trials would race on them.
+		Sweeps: func(cfg Config) ([]sweep.Spec, error) {
+			specs := make([]sweep.Spec, len(e7Entries))
+			for k, entry := range e7Entries {
+				spec := cycleSpec(cfg, []int{64, 256, 1024, 4096}, 1)
+				// One permutation per size: E7 compares the algorithms on
+				// one instance, not worst cases over many.
 				spec.Trials = 1
-				names := make([]string, len(spec.Sizes))
-				spec.Alg = func(_ int, a ids.Assignment) local.ViewAlgorithm { return e.alg(a) }
-				spec.Observe = func(sizeIdx, _ int, _ graph.Graph, _ ids.Assignment, res *local.Result) {
-					names[sizeIdx] = res.Algorithm
-				}
-				res, err := sweep.Run(ctx, configSpec(spec, cfg))
-				if err != nil {
-					return nil, err
-				}
-				outs[ei] = sweepOut{stats: res.Sizes, names: names}
+				spec.Alg = func(_ int, a ids.Assignment) local.ViewAlgorithm { return entry.alg(a) }
+				specs[k] = spec
 			}
-
+			return specs, nil
+		},
+		Tabulate: func(cfg Config, results []*sweep.Result) (*Table, error) {
 			t := &Table{
 				Title:   "E7: max vs avg radius per problem (random permutations)",
 				Columns: []string{"n", "problem", "algorithm", "max", "avg", "max/avg"},
 			}
 			ratios := map[string][]float64{}
-			for i := range outs[0].stats {
-				for ei, e := range entries {
-					s := outs[ei].stats[i]
+			for i := range results[0].Sizes {
+				for k, entry := range e7Entries {
+					s := results[k].Sizes[i]
 					ratio := math.Inf(1)
 					if s.WorstAvg.Avg > 0 {
 						ratio = float64(s.WorstMax.Max) / s.WorstAvg.Avg
 					}
-					t.AddRow(ci(s.N), cs(e.problem), cs(outs[ei].names[i]), ci(s.WorstMax.Max), cf(s.WorstAvg.Avg), cf(ratio))
-					ratios[e.problem] = append(ratios[e.problem], ratio)
+					// Algorithm names read only MaxID, which is n-1 for every
+					// permutation of [0,n), so the identity names them all.
+					name := entry.alg(ids.Identity(s.N)).Name()
+					t.AddRow(ci(s.N), cs(entry.problem), cs(name), ci(s.WorstMax.Max), cf(s.WorstAvg.Avg), cf(ratio))
+					ratios[entry.problem] = append(ratios[entry.problem], ratio)
 				}
 			}
 			for _, problem := range []string{"largestID", "3-coloring", "MIS"} {

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"repro/internal/graph"
 	"repro/internal/ids"
@@ -16,15 +15,18 @@ import (
 // bound as given; here we compute its smallest concrete instances exactly.
 // The neighbourhood graph N_r(s) is built explicitly and 3-coloured (or
 // proven non-3-colourable) by exact search; feasible cases are turned into
-// synthesized minimal-radius algorithms and executed on the simulator. The
-// exact searches are independent, so they run sharded via sweep.Map — the
-// s=7 impossibility proof no longer serialises behind the feasible cases.
+// synthesized minimal-radius algorithms and executed on the simulator. None
+// of this samples permutations, so E8 has no sweeps and does all its work
+// in Tabulate. The exact searches are independent, so they run sharded via
+// sweep.Map — the s=7 impossibility proof does not serialise behind the
+// feasible cases.
 func e8() Experiment {
 	return Experiment{
-		ID:    "E8",
-		Title: "Linial's bound, smallest instances: exact radius-1 feasibility thresholds",
-		Claim: "§3 uses Linial's Ω(log* n) as a black box; E8 recomputes its base cases exactly",
-		Run: func(ctx context.Context, cfg Config) (*Table, error) {
+		ID:     "E8",
+		Title:  "Linial's bound, smallest instances: exact radius-1 feasibility thresholds",
+		Claim:  "§3 uses Linial's Ω(log* n) as a black box; E8 recomputes its base cases exactly",
+		Sweeps: func(Config) ([]sweep.Spec, error) { return nil, nil },
+		Tabulate: func(cfg Config, _ []*sweep.Result) (*Table, error) {
 			type q struct{ r, s int }
 			cases := []q{
 				{0, 4}, // K_4: radius 0 fails already at four identifiers
@@ -38,7 +40,7 @@ func e8() Experiment {
 				simulated string
 			}
 			outs := make([]outcome, len(cases))
-			if err := sweep.Map(ctx, cfg.Workers, len(cases), func(i int) error {
+			if err := sweep.Map(context.Background(), cfg.Workers, len(cases), func(i int) error {
 				c := cases[i]
 				v, err := linial.ThreeColorable(c.s, c.r)
 				if err != nil {
@@ -47,7 +49,7 @@ func e8() Experiment {
 				outs[i].verdict = v
 				outs[i].simulated = "-"
 				if v.Usable && c.r == 1 {
-					sim, err := runSynthesized(ctx, cfg, c.s)
+					sim, err := runSynthesized(c.s)
 					if err != nil {
 						return fmt.Errorf("E8 synthesized (s=%d): %w", c.s, err)
 					}
@@ -73,35 +75,26 @@ func e8() Experiment {
 	}
 }
 
-// runSynthesized executes the synthesized radius-1 table on the largest
-// in-space ring (identifiers of C_n are 0..n-1, so n = s exactly uses the
-// full space), routed through a single-instance sweep with strict
-// verification, and reports its radius profile.
-func runSynthesized(ctx context.Context, cfg Config, s int) (string, error) {
+// runSynthesized executes the synthesized radius-1 table once on the
+// largest in-space ring (identifiers of C_n are 0..n-1, so n = s exactly
+// uses the full space), verifies the colouring, and reports its radius
+// profile.
+func runSynthesized(s int) (string, error) {
 	ta, err := linial.Synthesize(s, 1)
 	if err != nil {
 		return "", err
 	}
-	n := s
-	if n < 3 {
-		return "", fmt.Errorf("space %d too small for a ring", s)
-	}
-	spec := sweep.Spec{
-		Seed:      cfg.Seed,
-		Sizes:     []int{n},
-		Trials:    1,
-		Workers:   cfg.Workers,
-		NoKernels: cfg.NoKernels,
-		Graph:     func(n int, _ *rand.Rand) (graph.Graph, error) { return graph.NewCycle(n) },
-		Assign:    assignFixed(func(n int) (ids.Assignment, error) { return ids.Identity(n), nil }),
-		Alg:       func(int, ids.Assignment) local.ViewAlgorithm { return ta },
-		Verify:    verifyColoring,
-		Strict:    true,
-	}
-	res, err := sweep.Run(ctx, configSpec(spec, cfg))
+	c, err := graph.NewCycle(s)
 	if err != nil {
 		return "", err
 	}
-	st := res.Sizes[0]
-	return fmt.Sprintf("C_%d max=%d avg=%.1f", n, st.WorstMax.Max, st.WorstAvg.Avg), nil
+	a := ids.Identity(s)
+	res, err := local.RunView(c, a, ta)
+	if err != nil {
+		return "", err
+	}
+	if err := verifyColoring(c, a, res); err != nil {
+		return "", err
+	}
+	return fmt.Sprintf("C_%d max=%d avg=%.1f", s, res.MaxRadius(), res.AvgRadius()), nil
 }

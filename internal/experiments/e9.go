@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 
 	"repro/internal/algorithms/largestid"
@@ -15,7 +14,7 @@ import (
 // e9 explores the second further-work question of §4: "we only consider
 // the cycle topology, and results for more general graphs are missing".
 // The pruning algorithm is topology-agnostic, so we measure both
-// complexity measures across graph families — one sharded sweep per family.
+// complexity measures across graph families — one sweep per family.
 // The emerging picture: the separation is governed by ball growth — on
 // linearly growing balls (cycle, path) the average is Θ(log n); on
 // polynomially growing balls (grid) the probability of being a d-ball
@@ -27,95 +26,53 @@ func e9() Experiment {
 		ID:    "E9",
 		Title: "Largest ID beyond the cycle: ball growth governs the separation",
 		Claim: "§4 further work: \"results for more general graphs are missing\"",
-		Run: func(ctx context.Context, cfg Config) (*Table, error) {
-			trials := trialsOrDefault(cfg, 3)
-			sizes := sizesOrDefault(cfg, []int{256, 1024, 4096})
-
-			type family struct {
-				name  string
-				sizes []int
-				build func(n int, rng *rand.Rand) (graph.Graph, error)
-			}
-			gridSide := func(n int) int {
-				side := 1
-				for side*side < n {
-					side++
+		Sweeps: func(cfg Config) ([]sweep.Spec, error) {
+			_, specs := e9Sweeps(cfg)
+			return specs, nil
+		},
+		Tabulate: func(cfg Config, results []*sweep.Result) (*Table, error) {
+			names, specs := e9Sweeps(cfg)
+			// Rows run size-major over the families, then the clique row,
+			// keeping the historical table layout.
+			type cell struct{ k, i int }
+			var rows []cell
+			last := len(specs) - 1
+			for i := range specs[0].Sizes {
+				for k := 0; k < last; k++ {
+					rows = append(rows, cell{k, i})
 				}
-				return side
 			}
-			gridSizes := make([]int, len(sizes))
-			for i, n := range sizes {
-				s := gridSide(n)
-				gridSizes[i] = s * s
-			}
-			families := []family{
-				{"cycle", sizes, func(n int, _ *rand.Rand) (graph.Graph, error) { return graph.NewCycle(n) }},
-				{"path", sizes, func(n int, _ *rand.Rand) (graph.Graph, error) { return graph.NewPath(n) }},
-				{"grid", gridSizes, func(n int, _ *rand.Rand) (graph.Graph, error) {
-					side := gridSide(n)
-					return graph.NewGrid(side, side)
-				}},
-				{"tree", sizes, func(n int, rng *rand.Rand) (graph.Graph, error) { return graph.NewRandomTree(n, rng) }},
-				// One clique sweep: the degenerate diameter-1 extreme.
-				{"complete", []int{256}, func(n int, _ *rand.Rand) (graph.Graph, error) { return graph.NewComplete(n) }},
-			}
-
-			type familyOut struct {
-				stats []sweep.SizeStats
-				diams []int
-			}
-			outs := make([]familyOut, len(families))
-			for fi, f := range families {
-				diams := make([]int, len(f.sizes))
-				spec := sweep.Spec{
-					Seed:      cfg.Seed,
-					Sizes:     f.sizes,
-					Trials:    trials,
-					Workers:   cfg.Workers,
-					NoKernels: cfg.NoKernels,
-					Graph:     f.build,
-					Alg:       func(int, ids.Assignment) local.ViewAlgorithm { return largestid.Pruning{} },
-					Verify:    verifyLargestID,
-					Strict:    true,
-					Observe: func(sizeIdx, trial int, g graph.Graph, _ ids.Assignment, _ *local.Result) {
-						if trial == 0 {
-							diams[sizeIdx] = graph.Diameter(g)
-						}
-					},
+			rows = append(rows, cell{last, 0})
+			// The diameters are a property of the instances alone: rebuild
+			// each family's graphs from the seed, exactly as the engine
+			// built them, and measure them across the worker pool.
+			graphs := make([][]graph.Graph, len(specs))
+			for k := range specs {
+				var err error
+				if graphs[k], err = sweep.Graphs(specs[k]); err != nil {
+					return nil, err
 				}
-				res, err := sweep.Run(ctx, configSpec(spec, cfg))
-				if err != nil {
-					return nil, fmt.Errorf("E9 %s: %w", f.name, err)
-				}
-				outs[fi] = familyOut{stats: res.Sizes, diams: diams}
+			}
+			diams := make([]int, len(rows))
+			if err := sweep.Map(context.Background(), cfg.Workers, len(rows), func(j int) error {
+				diams[j] = graph.Diameter(graphs[rows[j].k][rows[j].i])
+				return nil
+			}); err != nil {
+				return nil, err
 			}
 
 			t := &Table{
 				Title:   "E9: pruning algorithm across graph families (random permutations)",
 				Columns: []string{"family", "n", "diam", "worstMax", "worstAvg", "max/avg"},
 			}
-			addRow := func(f family, out familyOut, i int) {
-				s := out.stats[i]
-				worstMax := s.WorstMax.Max
-				worstAvg := s.WorstAvg.Avg
+			for j, r := range rows {
+				s := results[r.k].Sizes[r.i]
 				ratio := 0.0
-				if worstAvg > 0 {
-					ratio = float64(worstMax) / worstAvg
+				if s.WorstAvg.Avg > 0 {
+					ratio = float64(s.WorstMax.Max) / s.WorstAvg.Avg
 				}
-				t.AddRow(cs(f.name), ci(s.N), ci(out.diams[i]), ci(worstMax), cf(worstAvg), cf(ratio))
+				t.AddRow(cs(names[r.k]), ci(s.N), ci(diams[j]), ci(s.WorstMax.Max), cf(s.WorstAvg.Avg), cf(ratio))
 			}
-			// Size-major over the shared sweep, then the clique row, keeping
-			// the historical table layout.
-			for i := range sizes {
-				for fi, f := range families {
-					if f.name == "complete" {
-						continue
-					}
-					addRow(f, outs[fi], i)
-				}
-			}
-			last := len(families) - 1
-			addRow(families[last], outs[last], 0)
 
 			t.AddNote("cycle/path: avg grows with log n (linear ball growth)")
 			t.AddNote("grid: avg stays O(1) — quadratic ball growth makes Σ P(local max at radius d) converge")
@@ -123,4 +80,54 @@ func e9() Experiment {
 			return t, nil
 		},
 	}
+}
+
+// e9Sweeps builds one strictly verified pruning sweep per graph family,
+// with the family names, the clique last. The grid family rounds every
+// size up to the next square.
+func e9Sweeps(cfg Config) (names []string, specs []sweep.Spec) {
+	trials := trialsOrDefault(cfg, 3)
+	sizes := sizesOrDefault(cfg, []int{256, 1024, 4096})
+	gridSide := func(n int) int {
+		side := 1
+		for side*side < n {
+			side++
+		}
+		return side
+	}
+	gridSizes := make([]int, len(sizes))
+	for i, n := range sizes {
+		s := gridSide(n)
+		gridSizes[i] = s * s
+	}
+	families := []struct {
+		name  string
+		sizes []int
+		build func(n int, rng *rand.Rand) (graph.Graph, error)
+	}{
+		{"cycle", sizes, func(n int, _ *rand.Rand) (graph.Graph, error) { return graph.NewCycle(n) }},
+		{"path", sizes, func(n int, _ *rand.Rand) (graph.Graph, error) { return graph.NewPath(n) }},
+		{"grid", gridSizes, func(n int, _ *rand.Rand) (graph.Graph, error) {
+			side := gridSide(n)
+			return graph.NewGrid(side, side)
+		}},
+		{"tree", sizes, func(n int, rng *rand.Rand) (graph.Graph, error) { return graph.NewRandomTree(n, rng) }},
+		// One clique sweep: the degenerate diameter-1 extreme.
+		{"complete", []int{256}, func(n int, _ *rand.Rand) (graph.Graph, error) { return graph.NewComplete(n) }},
+	}
+	for _, f := range families {
+		names = append(names, f.name)
+		specs = append(specs, sweep.Spec{
+			Seed:      cfg.Seed,
+			Sizes:     f.sizes,
+			Trials:    trials,
+			Workers:   cfg.Workers,
+			NoKernels: cfg.NoKernels,
+			Graph:     f.build,
+			Alg:       func(int, ids.Assignment) local.ViewAlgorithm { return largestid.Pruning{} },
+			Verify:    verifyLargestID,
+			Strict:    true,
+		})
+	}
+	return names, specs
 }

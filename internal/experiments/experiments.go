@@ -59,7 +59,11 @@ type Config struct {
 	StreamIDs bool `json:"streamIDs,omitempty"`
 }
 
-// Experiment is one reproducible claim of the paper.
+// Experiment is one reproducible claim of the paper, in one shape: Sweeps
+// lists its seeded sweeps and Tabulate folds their merged aggregates into
+// the table. Run, the leased path (RunLeasedSweeps + MergeLeased) and
+// cmd/sweepmerge all go through that pair, so every experiment runs,
+// leases, resumes and merges the same way.
 type Experiment struct {
 	// ID is the index key (e.g. "E2").
 	ID string
@@ -67,26 +71,39 @@ type Experiment struct {
 	Title string
 	// Claim cites the paper location the experiment reproduces.
 	Claim string
-	// Run executes the experiment and renders its table. The context
-	// cancels the underlying sweeps; a cancelled run returns an error.
-	// Experiments defining the Sweeps/Tabulate split leave Run nil and the
-	// registry derives it, so the single-process path and the leased
-	// multi-executor path tabulate through the same code.
-	Run func(ctx context.Context, cfg Config) (*Table, error)
-	// Sweeps, when non-nil, exposes the experiment's sweeps as plain
-	// sweep.Specs — the PLAN lease executors split and resume (see
-	// RunLeasedSweeps). Building specs must be pure: no randomness, no
-	// execution.
+	// Sweeps exposes the experiment's sweeps as plain sweep.Specs — the
+	// PLAN lease executors split and resume (see RunLeasedSweeps). Building
+	// specs must be pure: no randomness, no execution. An experiment whose
+	// work is not a permutation sweep returns no specs.
 	Sweeps func(cfg Config) ([]sweep.Spec, error)
 	// Tabulate folds the merged per-sweep aggregates (one Result per
-	// Sweeps entry, same order) into the final table. It must depend on
-	// cfg and the aggregates alone, so a leased run collected from a store
-	// renders the bytes a single process prints.
+	// Sweeps entry, same order) into the final table. It must depend on cfg
+	// and the aggregates alone, so a leased run collected from a store
+	// renders the bytes a single process prints. It may do deterministic
+	// work from cfg alone: E3 and E8 compute their whole table here, E5 its
+	// adversarial row and E9 its diameters, so a leased run of them stores
+	// only what the sweeps produce and the merge does the rest.
 	Tabulate func(cfg Config, res []*sweep.Result) (*Table, error)
 }
 
+// Run executes the experiment in this process: RunSweeps, then Tabulate —
+// the pipeline a leased run reproduces across executors. The context
+// cancels the sweeps; a cancelled context fails the run before any work,
+// including the work an experiment does in Tabulate.
+func (e Experiment) Run(ctx context.Context, cfg Config) (*Table, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("experiments: %s: %w", e.ID, err)
+	}
+	results, err := RunSweeps(ctx, e, cfg, sweep.Shard{}, "")
+	if err != nil {
+		return nil, err
+	}
+	return e.Tabulate(cfg, results)
+}
+
 // Shardable reports whether the experiment exposes the Sweeps/Tabulate
-// split required for leased runs.
+// split. Every registered experiment does; the method remains because
+// bench/avgperf still branches on it.
 func (e Experiment) Shardable() bool { return e.Sweeps != nil && e.Tabulate != nil }
 
 // registry holds all experiments keyed by ID.
@@ -98,37 +115,18 @@ func buildRegistry() map[string]Experiment {
 	}
 	m := make(map[string]Experiment, len(all))
 	for _, e := range all {
-		if e.Run == nil && e.Shardable() {
-			e.Run = derivedRun(e)
-		}
 		m[e.ID] = e
 	}
 	return m
 }
 
-// derivedRun is the single-process execution of a Sweeps/Tabulate
-// experiment: run every sweep, tabulate the results — the exact pipeline a
-// leased run reproduces across executors.
-func derivedRun(e Experiment) func(context.Context, Config) (*Table, error) {
-	return func(ctx context.Context, cfg Config) (*Table, error) {
-		results, err := RunSweeps(ctx, e, cfg, sweep.Shard{}, "")
-		if err != nil {
-			return nil, err
-		}
-		return e.Tabulate(cfg, results)
-	}
-}
-
-// RunSweeps executes every sweep of a shardable experiment in this process
-// and returns the per-sweep aggregates, in Sweeps order. Splitting or
-// resuming a run is RunLeasedSweeps' job: shard must be the zero value and
+// RunSweeps executes every sweep of an experiment in this process and
+// returns the per-sweep aggregates, in Sweeps order. Splitting or resuming
+// a run is RunLeasedSweeps' job: shard must be the zero value and
 // checkpointPath empty, and anything else is rejected.
 func RunSweeps(ctx context.Context, e Experiment, cfg Config, shard sweep.Shard, checkpointPath string) ([]*sweep.Result, error) {
 	if !shard.IsZero() || checkpointPath != "" {
 		return nil, fmt.Errorf("experiments: %s: RunSweeps runs the whole trial space in one process; split or resume a run with RunLeasedSweeps over a store", e.ID)
-	}
-	if !e.Shardable() {
-		return nil, fmt.Errorf("experiments: %s does not expose its sweeps; it cannot run through RunSweeps", e.ID)
 	}
 	specs, err := expandSweeps(e, cfg)
 	if err != nil {
@@ -221,39 +219,30 @@ func cycleSpec(cfg Config, defSizes []int, defTrials int) sweep.Spec {
 
 // expandSweeps is how every runner obtains an experiment's specs: it calls
 // Sweeps and then applies the config's cross-cutting knobs — backend
-// selection and streaming identifier draws — uniformly, so E1–E11 all
-// honour -backend/-streamids without forwarding them one by one. A spec
-// that pinned its own backend (E11 defaulting to implicit) keeps it, and
-// StreamIDs only lands where sampled draws actually happen: a fixed
-// Assign source or exhaustive rank enumeration draws nothing, so the flag
-// is a no-op there rather than a conflict.
+// selection, streaming identifier draws and quotient enumeration —
+// uniformly, so every experiment honours -backend/-streamids/-quotient
+// without forwarding them one by one. A spec that pinned its own backend
+// (E11 defaulting to implicit) keeps it. StreamIDs only lands where sampled
+// draws actually happen, and Quotient only on exhaustive sweeps: elsewhere
+// each flag is a no-op rather than a conflict.
 func expandSweeps(e Experiment, cfg Config) ([]sweep.Spec, error) {
 	specs, err := e.Sweeps(cfg)
 	if err != nil {
 		return nil, err
 	}
 	for k := range specs {
-		specs[k] = configSpec(specs[k], cfg)
+		spec := &specs[k]
+		if spec.Backend == sweep.BackendAuto {
+			spec.Backend = sweep.Backend(cfg.Backend)
+		}
+		if cfg.StreamIDs && spec.Assign == nil && !spec.Exhaustive {
+			spec.StreamIDs = true
+		}
+		if cfg.Quotient && spec.Exhaustive {
+			spec.Quotient = true
+		}
 	}
 	return specs, nil
-}
-
-// configSpec applies the config's backend and streaming-draw knobs to one
-// spec — the per-spec form of expandSweeps, for the custom-Run experiments
-// (E4, E5, E7, E8, E9) that call sweep.Run with inline specs.
-func configSpec(spec sweep.Spec, cfg Config) sweep.Spec {
-	if spec.Backend == sweep.BackendAuto {
-		spec.Backend = sweep.Backend(cfg.Backend)
-	}
-	if cfg.StreamIDs && spec.Assign == nil && !spec.Exhaustive {
-		spec.StreamIDs = true
-	}
-	// Quotient only means something on the exhaustive path; sampled sweeps
-	// ignore it rather than conflict, mirroring StreamIDs above.
-	if cfg.Quotient && spec.Exhaustive {
-		spec.Quotient = true
-	}
-	return spec
 }
 
 // assignFixed adapts a deterministic per-size assignment constructor into a

@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/csv"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -14,6 +16,24 @@ import (
 // the benchmark suite and cmd/avgbench.
 func smallCfg() Config {
 	return Config{Seed: 7, Sizes: []int{16, 32, 64}, Trials: 2}
+}
+
+// goldenTable returns the committed rendering of experiment id under
+// smallCfg. After an intended table change, regenerate the files from the
+// repository root (sed drops avgbench's two header lines and its trailing
+// blank line):
+//
+//	for e in E1 E2 E3 E4 E5 E6 E7 E8 E9 E10 E11 E12; do
+//	  go run ./cmd/avgbench -e $e -seed 7 -sizes 16,32,64 -trials 2 |
+//	    sed '1,2d;$d' > internal/experiments/testdata/golden/$e.txt
+//	done
+func goldenTable(t *testing.T, id string) string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "golden", id+".txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
 }
 
 func TestRegistryComplete(t *testing.T) {
@@ -33,12 +53,18 @@ func TestRegistryComplete(t *testing.T) {
 		if e.Title == "" || e.Claim == "" {
 			t.Errorf("%s missing title or claim", id)
 		}
+		if e.Sweeps == nil || e.Tabulate == nil {
+			t.Errorf("%s lacks Sweeps or Tabulate", id)
+		}
 	}
 	if _, err := Get("E99"); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }
 
+// TestAllExperimentsRunSmall renders every experiment under smallCfg and
+// diffs it against its committed golden table: any byte change to any
+// table fails here.
 func TestAllExperimentsRunSmall(t *testing.T) {
 	for _, e := range All() {
 		e := e
@@ -50,9 +76,8 @@ func TestAllExperimentsRunSmall(t *testing.T) {
 			if len(tab.Rows) == 0 {
 				t.Fatalf("%s produced no rows", e.ID)
 			}
-			out := tab.Render()
-			if !strings.Contains(out, tab.Columns[0]) {
-				t.Errorf("%s render missing header", e.ID)
+			if got, want := tab.Render(), goldenTable(t, e.ID); got != want {
+				t.Errorf("%s differs from its golden table\nwant:\n%s\ngot:\n%s", e.ID, want, got)
 			}
 		})
 	}
@@ -104,8 +129,9 @@ func TestExperimentsDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestE3UnsortedSizes regresses the out-of-range panic when the size
-// override is not ascending: maxP must be the maximum, not the last entry.
+// TestE3UnsortedSizes regresses the out-of-range panics of size overrides:
+// maxP must be the maximum, not the last entry, and a negative size is an
+// error naming it.
 func TestE3UnsortedSizes(t *testing.T) {
 	e, err := Get("E3")
 	if err != nil {
@@ -117,6 +143,9 @@ func TestE3UnsortedSizes(t *testing.T) {
 	}
 	if len(tab.Rows) != 2 {
 		t.Fatalf("got %d rows, want 2", len(tab.Rows))
+	}
+	if _, err := e.Run(context.Background(), Config{Seed: 1, Sizes: []int{-5}}); err == nil || !strings.Contains(err.Error(), "-5") {
+		t.Errorf("negative size: err = %v, want an error naming -5", err)
 	}
 }
 
@@ -137,13 +166,17 @@ func TestE5DuplicateSizes(t *testing.T) {
 }
 
 // TestExperimentsCancellation cancels the context up front: every
-// experiment must fail fast instead of computing its table.
+// experiment must fail fast instead of computing its table, run plain or
+// leased.
 func TestExperimentsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, e := range All() {
 		if _, err := e.Run(ctx, smallCfg()); err == nil {
 			t.Errorf("%s ignored a cancelled context", e.ID)
+		}
+		if _, err := RunLeasedSweeps(ctx, e, smallCfg(), sweep.NewMemStore(), sweep.LeaseOptions{Worker: "w"}); err == nil {
+			t.Errorf("%s leased run ignored a cancelled context", e.ID)
 		}
 	}
 }
@@ -246,13 +279,13 @@ func TestTableRenderAndCSV(t *testing.T) {
 	}
 }
 
-// TestConfigKnobsReachEveryExperiment pins the expandSweeps/configSpec
-// contract: -backend and -streamids act uniformly whether an experiment
-// exposes Sweeps or runs inline specs. The implicit backend must fail
-// typed on E9's non-implicit families, must leave bytes alone where it is
-// servable, and -streamids must be a no-op (not a conflict) on sweeps
-// without sampled draws — E2's fixed worst permutation, E10's exhaustive
-// enumeration.
+// TestConfigKnobsReachEveryExperiment pins the expandSweeps contract:
+// -backend and -streamids act uniformly on every experiment's sweeps, and
+// leave the work an experiment does in Tabulate alone. The implicit
+// backend must fail typed on E9's non-implicit families, must leave bytes
+// alone where it is servable, and -streamids must be a no-op (not a
+// conflict) on sweeps without sampled draws — E2's fixed worst
+// permutation, E10's exhaustive enumeration.
 func TestConfigKnobsReachEveryExperiment(t *testing.T) {
 	ctx := context.Background()
 
@@ -276,17 +309,13 @@ func TestConfigKnobsReachEveryExperiment(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, err := e.Run(ctx, smallCfg())
-		if err != nil {
-			t.Fatalf("%s base: %v", id, err)
-		}
 		cfg := smallCfg()
 		cfg.Backend = "builder"
 		viaBuilder, err := e.Run(ctx, cfg)
 		if err != nil {
 			t.Fatalf("%s -backend builder: %v", id, err)
 		}
-		if base.Render() != viaBuilder.Render() {
+		if viaBuilder.Render() != goldenTable(t, id) {
 			t.Errorf("%s: builder backend changed the bytes", id)
 		}
 	}
@@ -308,17 +337,9 @@ func TestConfigKnobsReachEveryExperiment(t *testing.T) {
 }
 
 // TestRunSweepsRejectsUnshardable: RunSweeps runs only whole, in-process
-// sweeps of experiments exposing them. A custom-Run experiment, a static
-// shard and a checkpoint path are all rejected, the latter two pointing at
-// RunLeasedSweeps.
+// sweeps. A static shard and a checkpoint path are both rejected, pointing
+// at RunLeasedSweeps.
 func TestRunSweepsRejectsUnshardable(t *testing.T) {
-	e3, err := Get("E3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RunSweeps(context.Background(), e3, Config{Seed: 1}, sweep.Shard{}, ""); err == nil {
-		t.Error("unshardable experiment accepted")
-	}
 	e6, err := Get("E6")
 	if err != nil {
 		t.Fatal(err)

@@ -104,17 +104,20 @@ func ensureManifest(st sweep.Store, prefix string, e Experiment, cfg Config) err
 	return nil
 }
 
-// RunLeasedSweeps executes every sweep of a shardable experiment as one
-// lease executor over the store, sweep by sweep, and returns the summed
+// RunLeasedSweeps executes every sweep of an experiment as one lease
+// executor over the store, sweep by sweep, and returns the summed
 // participation stats. opts.Prefix is ignored — the run prefix is derived
 // from the experiment and config (LeaseRunPrefix) so independently started
 // executors land in the same namespace by construction. The call returns
 // when every sweep's target is covered; it does NOT return results —
-// MergeLeased (or cmd/sweepmerge -store) collects them from the store.
+// MergeLeased (or cmd/sweepmerge -store) collects them from the store. An
+// experiment without sweeps (E3, E8) only writes the manifest, and the
+// merge computes its whole table; like Run, a cancelled context fails
+// before any work.
 func RunLeasedSweeps(ctx context.Context, e Experiment, cfg Config, st sweep.Store, opts sweep.LeaseOptions) (sweep.LeaseStats, error) {
 	var total sweep.LeaseStats
-	if !e.Shardable() {
-		return total, fmt.Errorf("experiments: %s does not expose its sweeps; it cannot run leased", e.ID)
+	if err := ctx.Err(); err != nil {
+		return total, fmt.Errorf("experiments: %s: %w", e.ID, err)
 	}
 	specs, err := expandSweeps(e, cfg)
 	if err != nil {
@@ -141,9 +144,6 @@ func RunLeasedSweeps(ctx context.Context, e Experiment, cfg Config, st sweep.Sto
 // Incomplete runs fail with sweep's typed *IncompleteError (still
 // running? worker died?), double-counting with *OverlapError.
 func MergeLeased(e Experiment, cfg Config, st sweep.Store) (*Table, error) {
-	if !e.Shardable() {
-		return nil, fmt.Errorf("experiments: %s does not expose its sweeps; it cannot merge a leased run", e.ID)
-	}
 	specs, err := expandSweeps(e, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s sweeps: %w", e.ID, err)

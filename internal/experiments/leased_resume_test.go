@@ -251,8 +251,8 @@ func TestCheckpointRejectsForgedFile(t *testing.T) {
 }
 
 // TestMergeShardsValidation pins MergeLeased's refusal cases: a store
-// holding no run, one static shard of two, another config, an unshardable
-// experiment — and accepts the complete shard set.
+// holding no run, one static shard of two, another config — and accepts
+// the complete shard set.
 func TestMergeShardsValidation(t *testing.T) {
 	e6, err := Get("E6")
 	if err != nil {
@@ -281,13 +281,6 @@ func TestMergeShardsValidation(t *testing.T) {
 	drift.Seed = 3
 	if _, err := MergeLeased(e6, drift, st); err == nil {
 		t.Error("merge under another seed accepted")
-	}
-	e3, err := Get("E3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := MergeLeased(e3, cfg, st); err == nil {
-		t.Error("merge of an unshardable experiment accepted")
 	}
 	got, err := MergeLeased(e6, cfg, st)
 	if err != nil {

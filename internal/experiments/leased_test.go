@@ -63,6 +63,34 @@ func TestLeasedRunTablesByteIdentical(t *testing.T) {
 	}
 }
 
+// TestLeasedGoldenTables: every experiment runs as two static lease shards
+// of unequal worker pools over one store, and the merge renders its
+// committed golden table — all twelve tables lease and merge alike,
+// including E3 and E8, whose leased runs hold only a manifest.
+func TestLeasedGoldenTables(t *testing.T) {
+	for _, e := range All() {
+		t.Run(e.ID, func(t *testing.T) {
+			st := sweep.NewMemStore()
+			for i := 0; i < 2; i++ {
+				cfg := smallCfg()
+				cfg.Workers = 1 + 2*i
+				opts := sweep.LeaseOptions{Worker: fmt.Sprintf("s%d", i), GrainsPerSize: 4,
+					Static: sweep.Shard{Index: i, Count: 2}}
+				if _, err := RunLeasedSweeps(context.Background(), e, cfg, st, opts); err != nil {
+					t.Fatalf("shard %d/2: %v", i, err)
+				}
+			}
+			got, err := MergeLeased(e, smallCfg(), st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := goldenTable(t, e.ID); got.Render() != want {
+				t.Errorf("merged table differs from its golden table\nwant:\n%s\ngot:\n%s", want, got.Render())
+			}
+		})
+	}
+}
+
 // TestLeasedConcurrentExecutorsIdentical runs three unequal-speed executors
 // concurrently over one store — the in-process version of three machines —
 // and demands the single-process bytes.

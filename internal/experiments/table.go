@@ -1,5 +1,5 @@
 // Package experiments turns every quantitative claim of the paper into a
-// reproducible experiment E1..E10 (see EXPERIMENTS.md for the index) with a
+// reproducible experiment E1..E12 (see EXPERIMENTS.md for the index) with a
 // uniform table output, shared by cmd/avgbench and the root benchmark
 // suite. All experiments execute on the sharded sweep engine
 // (internal/sweep): equal seeds reproduce tables exactly at any worker

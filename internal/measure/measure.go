@@ -1,12 +1,11 @@
 // Package measure computes the complexity measures the paper compares —
 // the classic worst-case radius max_v r(v) and the new average radius
-// (Σ_v r(v))/n — together with the aggregation across identifier
-// permutations (worst case or expectation) and the curve fits used to check
-// growth rates (Θ(log n), Θ(n ln n), Θ(log* n)).
+// (Σ_v r(v))/n — together with the curve fits used to check growth rates
+// (Θ(log n), Θ(n ln n), Θ(log* n)). Aggregation across identifier
+// permutations is the sweep engine's (internal/sweep).
 package measure
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -82,50 +81,4 @@ func Histogram(radii []int) []int {
 		h[r]++
 	}
 	return h
-}
-
-// Aggregate combines summaries across identifier permutations of the same
-// instance size: the paper's measures take the worst case over assignments,
-// the further-work section asks about the expectation.
-type Aggregate struct {
-	Runs int
-	// WorstAvg is max over runs of the per-run average radius — the paper's
-	// average-complexity measure estimated over the sampled permutations.
-	WorstAvg float64
-	// WorstMax is max over runs of the per-run maximum radius — the classic
-	// measure over the sampled permutations.
-	WorstMax int
-	// MeanAvg is the empirical expectation of the average radius over the
-	// sampled permutations (uniformly random identifiers).
-	MeanAvg float64
-	// MeanMax is the empirical expectation of the maximum radius.
-	MeanMax float64
-}
-
-// NewAggregate folds per-run summaries into an Aggregate.
-func NewAggregate(summaries []Summary) Aggregate {
-	agg := Aggregate{Runs: len(summaries)}
-	if len(summaries) == 0 {
-		return agg
-	}
-	var sumAvg, sumMax float64
-	for _, s := range summaries {
-		if s.Avg > agg.WorstAvg {
-			agg.WorstAvg = s.Avg
-		}
-		if s.Max > agg.WorstMax {
-			agg.WorstMax = s.Max
-		}
-		sumAvg += s.Avg
-		sumMax += float64(s.Max)
-	}
-	agg.MeanAvg = sumAvg / float64(len(summaries))
-	agg.MeanMax = sumMax / float64(len(summaries))
-	return agg
-}
-
-// String renders the aggregate compactly for experiment tables.
-func (a Aggregate) String() string {
-	return fmt.Sprintf("runs=%d worstAvg=%.3f worstMax=%d meanAvg=%.3f meanMax=%.1f",
-		a.Runs, a.WorstAvg, a.WorstMax, a.MeanAvg, a.MeanMax)
 }

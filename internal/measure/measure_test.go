@@ -108,42 +108,3 @@ func TestHistogramMassInvariant(t *testing.T) {
 		t.Errorf("histogram loses mass: %v", err)
 	}
 }
-
-func TestNewAggregate(t *testing.T) {
-	summaries := []Summary{
-		{N: 4, Max: 3, Sum: 4, Avg: 1.0},
-		{N: 4, Max: 5, Sum: 8, Avg: 2.0},
-		{N: 4, Max: 2, Sum: 6, Avg: 1.5},
-	}
-	agg := NewAggregate(summaries)
-	if agg.Runs != 3 {
-		t.Errorf("Runs = %d", agg.Runs)
-	}
-	if agg.WorstAvg != 2.0 {
-		t.Errorf("WorstAvg = %v, want 2", agg.WorstAvg)
-	}
-	if agg.WorstMax != 5 {
-		t.Errorf("WorstMax = %d, want 5", agg.WorstMax)
-	}
-	if agg.MeanAvg != 1.5 {
-		t.Errorf("MeanAvg = %v, want 1.5", agg.MeanAvg)
-	}
-	if math.Abs(agg.MeanMax-10.0/3) > 1e-12 {
-		t.Errorf("MeanMax = %v, want 10/3", agg.MeanMax)
-	}
-}
-
-func TestNewAggregateEmpty(t *testing.T) {
-	agg := NewAggregate(nil)
-	if agg.Runs != 0 || agg.WorstAvg != 0 || agg.WorstMax != 0 {
-		t.Errorf("empty aggregate not zero: %+v", agg)
-	}
-}
-
-func TestAggregateStringStable(t *testing.T) {
-	agg := NewAggregate([]Summary{{N: 2, Max: 1, Sum: 1, Avg: 0.5}})
-	want := "runs=1 worstAvg=0.500 worstMax=1 meanAvg=0.500 meanMax=1.0"
-	if agg.String() != want {
-		t.Errorf("String = %q, want %q", agg.String(), want)
-	}
-}

@@ -6,76 +6,65 @@ import (
 	"time"
 )
 
-// Delays must grow geometrically from Base to the Max cap, never exceed
-// the un-jittered envelope, and never shrink below (1-Jitter) of it.
+// Delays must grow geometrically from base to the max cap, never exceed
+// the un-jittered envelope, and never shrink below (1-jitter) of it.
 func TestBackoffDelayEnvelope(t *testing.T) {
-	b := Backoff{Base: 10 * time.Millisecond, Max: 200 * time.Millisecond, Factor: 2, Jitter: 0.2, Seed: 7}
+	b := backoff{base: 10 * time.Millisecond, max: 200 * time.Millisecond, factor: 2, jitter: 0.2, seed: 7}
 	envelope := []time.Duration{10, 20, 40, 80, 160, 200, 200}
 	for k, e := range envelope {
 		e *= time.Millisecond
-		d := b.Delay(k)
+		d := b.delay(k)
 		if d > e {
-			t.Errorf("Delay(%d) = %v exceeds envelope %v", k, d, e)
+			t.Errorf("delay(%d) = %v exceeds envelope %v", k, d, e)
 		}
 		if lo := time.Duration(float64(e) * 0.8); d < lo {
-			t.Errorf("Delay(%d) = %v below jitter floor %v", k, d, lo)
+			t.Errorf("delay(%d) = %v below jitter floor %v", k, d, lo)
 		}
+	}
+	// The lease policy is the same envelope at factor 1.5 and an 8×poll
+	// cap.
+	lease := leaseBackoff(10*time.Millisecond, "w")
+	if d := lease.delay(20); d > 80*time.Millisecond || d < 64*time.Millisecond {
+		t.Errorf("lease delay(20) = %v, want within 20%% below the 80ms cap", d)
 	}
 }
 
-// Equal (Seed, attempt) pairs must yield equal delays — the determinism
+// Equal (seed, attempt) pairs must yield equal delays — the determinism
 // replayed chaos scenarios rely on — and distinct seeds should decorrelate.
 func TestBackoffDeterministicJitter(t *testing.T) {
-	a := Backoff{Base: 10 * time.Millisecond, Seed: 1}
+	a := leaseBackoff(10*time.Millisecond, "a")
 	for k := 0; k < 8; k++ {
-		if a.Delay(k) != a.Delay(k) {
-			t.Fatalf("Delay(%d) not deterministic", k)
+		if a.delay(k) != a.delay(k) {
+			t.Fatalf("delay(%d) not deterministic", k)
 		}
 	}
-	bt := Backoff{Base: 10 * time.Millisecond, Seed: 2}
+	bt := leaseBackoff(10*time.Millisecond, "b")
 	same := 0
 	for k := 0; k < 8; k++ {
-		if a.Delay(k) == bt.Delay(k) {
+		if a.delay(k) == bt.delay(k) {
 			same++
 		}
 	}
 	if same == 8 {
-		t.Fatal("distinct seeds produced identical jitter streams")
+		t.Fatal("distinct worker ids produced identical jitter streams")
 	}
 }
 
-// The zero value must be usable, negative Jitter must disable jitter
-// (exact envelope delays), and Factor <= 1 must freeze the delay at Base.
-func TestBackoffDefaultsAndFlats(t *testing.T) {
-	var zero Backoff
-	if d := zero.Delay(0); d <= 0 || d > 25*time.Millisecond {
-		t.Fatalf("zero-value Delay(0) = %v, want (0, 25ms]", d)
-	}
-	exact := Backoff{Base: 5 * time.Millisecond, Factor: 2, Jitter: -1}
-	if d := exact.Delay(3); d != 40*time.Millisecond {
-		t.Fatalf("jitterless Delay(3) = %v, want 40ms", d)
-	}
-	flat := Backoff{Base: 5 * time.Millisecond, Factor: 0.5, Jitter: -1}
-	if d := flat.Delay(6); d != 5*time.Millisecond {
-		t.Fatalf("flat-policy Delay(6) = %v, want 5ms", d)
-	}
-}
-
-// Wait must return promptly with the context's error when cancelled
+// wait must return promptly with the context's error when cancelled
 // mid-delay, and nil after an undisturbed wait.
 func TestBackoffWaitContext(t *testing.T) {
-	b := Backoff{Base: time.Millisecond, Jitter: -1}
-	if err := b.Wait(context.Background(), 0); err != nil {
-		t.Fatalf("Wait: %v", err)
+	b := backoff{base: time.Millisecond, max: time.Millisecond, factor: 1}
+	if err := b.wait(context.Background(), 0); err != nil {
+		t.Fatalf("wait: %v", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	slow := Backoff{Base: time.Hour, Jitter: -1}
+	slow := backoff{base: time.Hour, max: time.Hour, factor: 1}
 	start := time.Now()
-	if err := slow.Wait(ctx, 0); err != context.Canceled {
-		t.Fatalf("cancelled Wait = %v, want context.Canceled", err)
+	if err := slow.wait(ctx, 0); err != context.Canceled {
+		t.Fatalf("cancelled wait = %v, want context.Canceled", err)
 	}
 	if time.Since(start) > time.Second {
-		t.Fatal("cancelled Wait blocked")
+		t.Fatal("cancelled wait blocked")
 	}
 }

@@ -269,7 +269,7 @@ func (w *worker) runBlock(ctx context.Context, spec Spec, g graph.Graph, atlas *
 			}
 			a = ids.Assignment(w.assign[:n])
 		case spec.Assign != nil:
-			w.rng.Seed(trialSeed(spec.Seed, b.SizeIdx, trial))
+			w.rng.Seed(TrialSeed(spec.Seed, b.SizeIdx, trial))
 			a, err = spec.Assign(b.SizeIdx, n, trial, w.rng)
 			if err != nil {
 				return fmt.Errorf("sweep: assign size %d trial %d: %w", n, trial, err)
@@ -277,9 +277,9 @@ func (w *worker) runBlock(ctx context.Context, spec Spec, g graph.Graph, atlas *
 		case spec.StreamIDs:
 			// The streaming draw needs no rng at all: the Feistel keys
 			// derive from the same (size, trial) seed coordinates.
-			a = ids.StreamInto(w.assign[:n], uint64(trialSeed(spec.Seed, b.SizeIdx, trial)))
+			a = ids.StreamInto(w.assign[:n], uint64(TrialSeed(spec.Seed, b.SizeIdx, trial)))
 		default:
-			w.rng.Seed(trialSeed(spec.Seed, b.SizeIdx, trial))
+			w.rng.Seed(TrialSeed(spec.Seed, b.SizeIdx, trial))
 			a = ids.RandomInto(w.assign[:n], w.rng)
 		}
 		res, err := w.runner.Run(g, a, spec.Alg(n, a), w.opts...)

@@ -245,14 +245,11 @@ type LeaseOptions struct {
 	// (default 3).
 	SpeculateScans int
 	// Poll is the idle wait between scans when no work is claimable
-	// (default 25ms). Consecutive idle scans back off from Poll under the
-	// Retry policy instead of hammering the store at a fixed rate.
+	// (default 25ms). Consecutive idle scans, and retries of transient
+	// store faults, back off from Poll (×1.5 per attempt, capped at 8×Poll,
+	// with 20% jitter seeded from the worker id) instead of hammering the
+	// store at a fixed rate.
 	Poll time.Duration
-	// Retry paces transient-store-fault retries and idle rescans. The zero
-	// value derives a policy from Poll (base Poll, ×1.5 growth, 8×Poll
-	// cap) with jitter seeded from the worker id, so replays stay
-	// deterministic.
-	Retry Backoff
 	// StoreRetries bounds how many backed-off retries one store operation
 	// gets before the executor gives up on it (default 2): a completion
 	// write that still fails leaves its grain uncovered for any executor
@@ -539,6 +536,7 @@ type leaseRunner struct {
 	spec    Spec
 	st      Store
 	opts    LeaseOptions
+	retry   backoff
 	prefix  string
 	sum     uint64
 	counts  []int
@@ -599,18 +597,6 @@ func RunLeased(ctx context.Context, spec Spec, st Store, opts LeaseOptions) (Lea
 	if opts.Poll <= 0 {
 		opts.Poll = 25 * time.Millisecond
 	}
-	// The retry policy inherits Poll as its base and jitters on a stream
-	// seeded from the worker id: deterministic per worker, decorrelated
-	// across a fleet.
-	opts.Retry = opts.Retry.withBase(opts.Poll)
-	if opts.Retry.Seed == 0 {
-		h := fnv.New64a()
-		h.Write([]byte(opts.Worker))
-		opts.Retry.Seed = h.Sum64()
-	}
-	if opts.Retry.Factor == 0 {
-		opts.Retry.Factor = 1.5
-	}
 	if opts.StoreRetries <= 0 {
 		opts.StoreRetries = 2
 	}
@@ -633,6 +619,7 @@ func RunLeased(ctx context.Context, spec Spec, st Store, opts LeaseOptions) (Lea
 	r := &leaseRunner{
 		spec: spec, st: st, opts: opts, prefix: opts.Prefix,
 		sum: planSum(plan), counts: counts, weights: planWeights(plan),
+		retry:  leaseBackoff(opts.Poll, opts.Worker),
 		grain:  make([]int, len(counts)),
 		target: make([]TrialRange, len(counts)),
 	}
@@ -691,7 +678,7 @@ func (r *leaseRunner) loop(ctx context.Context) error {
 			if scanFaults++; !isRetryable(err) || scanFaults > r.opts.StoreRetries {
 				return err
 			}
-			r.opts.Retry.Wait(ctx, scanFaults-1)
+			r.retry.wait(ctx, scanFaults-1)
 			continue
 		}
 		scanFaults = 0
@@ -734,7 +721,7 @@ func (r *leaseRunner) loop(ctx context.Context) error {
 		if !ok {
 			// Someone else holds all remaining work: back off and rescan,
 			// waiting longer the longer nothing is claimable.
-			r.opts.Retry.Wait(ctx, idle)
+			r.retry.wait(ctx, idle)
 			idle++
 			continue
 		}
@@ -903,7 +890,7 @@ func (r *leaseRunner) executeLease(ctx context.Context, b Block, seq int64) erro
 			if perr == nil || !isRetryable(perr) {
 				break
 			}
-			if attempt >= r.opts.StoreRetries || r.opts.Retry.Wait(ctx, attempt) != nil {
+			if attempt >= r.opts.StoreRetries || r.retry.wait(ctx, attempt) != nil {
 				break
 			}
 		}

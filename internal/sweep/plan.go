@@ -117,7 +117,7 @@ func PlanOf(spec Spec) (Plan, error) {
 		Quotient:   spec.Quotient,
 	}
 	if spec.Quotient {
-		graphs, err := buildGraphs(spec)
+		graphs, err := Graphs(spec)
 		if err != nil {
 			return Plan{}, err
 		}

@@ -29,7 +29,9 @@ func graphSeed(seed int64, sizeIdx int) int64 {
 	return derive(seed, uint64(sizeIdx), 0)
 }
 
-// trialSeed seeds the generator handed to Spec.Assign for one trial.
-func trialSeed(seed int64, sizeIdx, trial int) int64 {
+// TrialSeed seeds the generator handed to Spec.Assign (and the default
+// identifier draw) for one trial: rand.New(rand.NewSource(TrialSeed(...)))
+// replays the stream that trial sees.
+func TrialSeed(seed int64, sizeIdx, trial int) int64 {
 	return derive(seed, uint64(sizeIdx), uint64(trial)+1)
 }

@@ -190,11 +190,12 @@ func (e *QuotientUnsupportedError) Error() string {
 		e.Graph, e.N, strings.Join(e.Qualifying, ", "))
 }
 
-// buildGraphs builds every size's graph once, up front: Graph
+// Graphs builds every size's graph of the spec, in Sizes order — the
+// instances Run executes on. Run builds them once, up front: Graph
 // implementations are immutable, so all workers share them. One reseeded
 // generator serves every build; Rand.Seed reproduces a fresh generator bit
-// for bit, so PlanOf and Run derive identical instances.
-func buildGraphs(spec Spec) ([]graph.Graph, error) {
+// for bit, so PlanOf, Run and any caller derive identical instances.
+func Graphs(spec Spec) ([]graph.Graph, error) {
 	graphs := make([]graph.Graph, len(spec.Sizes))
 	grng := rand.New(rand.NewSource(0))
 	for i, n := range spec.Sizes {
@@ -281,7 +282,7 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 		ctx = context.Background()
 	}
 
-	graphs, err := buildGraphs(spec)
+	graphs, err := Graphs(spec)
 	if err != nil {
 		return nil, err
 	}

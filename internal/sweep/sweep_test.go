@@ -69,7 +69,7 @@ func TestMatchesSequentialLoop(t *testing.T) {
 		var worstBySum, worstByMax measure.Summary
 		var totalSum, totalMax int64
 		for trial := 0; trial < trials; trial++ {
-			rng := rand.New(rand.NewSource(trialSeed(seed, i, trial)))
+			rng := rand.New(rand.NewSource(TrialSeed(seed, i, trial)))
 			r, err := local.RunView(c, ids.Random(n, rng), largestid.Pruning{})
 			if err != nil {
 				t.Fatal(err)
@@ -401,7 +401,7 @@ func TestCancelledFinishMergesExactly(t *testing.T) {
 		if !completed[trial].Load() {
 			continue
 		}
-		rng := rand.New(rand.NewSource(trialSeed(seed, 0, trial)))
+		rng := rand.New(rand.NewSource(TrialSeed(seed, 0, trial)))
 		r, err := local.RunView(c, ids.Random(n, rng), largestid.Pruning{})
 		if err != nil {
 			t.Fatal(err)
