@@ -164,6 +164,14 @@ func BenchmarkSweepE6AtlasSharded(b *testing.B) { benchSweepWorkers(b, 0, sweep.
 // measured against (cmd/avgbench -nokernels is the CLI form).
 func BenchmarkSweepE6AtlasNoKernels(b *testing.B) { benchSweepWorkers(b, 0, sweep.BackendAuto, true) }
 
+// BenchmarkSweepE4Colouring runs E4 at sizes 1024 and 4096, 4 trials:
+// Cole-Vishkin on the per-vertex view path and the Uniform kernel, both
+// allocation-free per vertex, plus the colouring verifier. Its allocs/op
+// guard catches per-vertex allocation coming back on either path.
+func BenchmarkSweepE4Colouring(b *testing.B) {
+	benchExperiment(b, "E4", experiments.Config{Seed: 1, Sizes: []int{1024, 4096}, Trials: 4})
+}
+
 // benchSweepRaw measures the sweep engine directly (no table rendering):
 // the pruning algorithm over random permutations of a 4096-cycle, 32
 // trials, on the builder baseline or the default atlas backend.

@@ -31,13 +31,32 @@ func iterationsToSix(bitBudget int) int {
 		return 0
 	}
 	k := 0
-	maxVal := 1<<uint(bitBudget) - 1
+	maxVal := uint(1)<<uint(bitBudget) - 1
 	for maxVal >= 6 {
-		length := bits.Len(uint(maxVal))
-		maxVal = 2*(length-1) + 1
+		length := bits.Len(maxVal)
+		maxVal = 2*uint(length-1) + 1
 		k++
 	}
 	return k
+}
+
+// maxCVIterations is iterationsToSix of every budget from 63 bits up, the
+// most any int identifier needs: 2^63-1 -> 125 -> 13 -> 7 -> 5. It sizes
+// the stack arrays chains are reduced in.
+const maxCVIterations = 4
+
+// reduceChain runs Cole-Vishkin iterations in place over chain, the
+// identifiers of k+1 consecutive positions in successor order, and returns
+// the last position's colour after k = len(chain)-1 iterations. Iteration
+// t leaves chain[i] holding the colour of position i+t, which reads the
+// colours of i+t and its predecessor from the previous iteration.
+func reduceChain(chain []int) int {
+	for last := len(chain) - 1; last > 0; last-- {
+		for i := 0; i < last; i++ {
+			chain[i] = cvStep(chain[i+1], chain[i])
+		}
+	}
+	return chain[0]
 }
 
 // fixedEntry marks a cone entry whose colour is already final (committed in
@@ -47,23 +66,19 @@ const fixedEntry = -2
 
 // reduceCone simulates colour-class reduction sub-rounds on a colour cone
 // centred at index c of cur and returns the centre's final colour. In the
-// sub-round for class `classes[t]`, every position whose ORIGINAL colour is
-// that class recolours to the smallest colour of {0,1,2} unused by its two
-// neighbours' current colours. cur must extend len(classes) positions on
-// each side of c. Entries equal to none impose no constraint and never
-// change; fixedEntry originals never recolour but their values constrain.
+// sub-round for class `classes[t]`, every position whose original class
+// orig is that class recolours to the smallest colour of {0,1,2} unused by
+// its two neighbours' current colours. cur and orig must extend
+// len(classes) positions on each side of c. Entries equal to none impose
+// no constraint and never change; fixedEntry originals never recolour but
+// their values constrain.
 //
 // Sequential in-place updating equals the parallel semantics because two
 // adjacent positions never share an original colour class (the 6-colouring
-// is proper among committers).
-func reduceCone(cur []int, c int, classes []int) int {
-	return reduceConeWithOrig(cur, append([]int(nil), cur...), c, classes)
-}
-
-// reduceConeWithOrig is reduceCone with an explicit original-class slice,
-// letting the uniform algorithm mark earlier-phase finals as fixedEntry
-// (constraining but never recolouring).
-func reduceConeWithOrig(cur, orig []int, c int, classes []int) int {
+// is proper among committers). That holds on a cone read modularly off a
+// closed ring shorter than the cone too: every copy of a ring position
+// sees copies of its true neighbours.
+func reduceCone(cur, orig []int, c int, classes []int) int {
 	r := len(classes)
 	for t, colour := range classes {
 		w := r - 1 - t
@@ -79,32 +94,13 @@ func reduceConeWithOrig(cur, orig []int, c int, classes []int) int {
 
 // classicClasses is the textbook 6-to-3 schedule: only colours 5, 4, 3 need
 // recolouring when the 6-colouring is globally proper.
-var classicClasses = []int{5, 4, 3}
+var classicClasses = [...]int{5, 4, 3}
 
 // allClasses recolours every committer once (in the sub-round of its
 // original colour), which is what the uniform algorithm needs: a committer
 // whose Cole-Vishkin colour already lies in {0,1,2} may still collide with
 // a neighbour committed in an earlier phase and must re-pick.
-var allClasses = []int{5, 4, 3, 2, 1, 0}
-
-// reduceCircle runs the classic sub-rounds on a whole cycle of colours
-// (modular indexing), returning the final colours.
-func reduceCircle(cur []int, classes []int) []int {
-	n := len(cur)
-	out := append([]int(nil), cur...)
-	orig := append([]int(nil), cur...)
-	for _, colour := range classes {
-		next := append([]int(nil), out...)
-		for pos := 0; pos < n; pos++ {
-			if orig[pos] != colour {
-				continue
-			}
-			next[pos] = freeColour(out[(pos-1+n)%n], out[(pos+1)%n])
-		}
-		out = next
-	}
-	return out
-}
+var allClasses = [...]int{5, 4, 3, 2, 1, 0}
 
 // freeColour returns the smallest colour in {0,1,2} unused by the two
 // neighbour constraints (either may be none).
@@ -154,71 +150,40 @@ func (cv ColeVishkin) Name() string {
 	return fmt.Sprintf("coloring/colevishkin(b=%d)", cv.IDBits)
 }
 
+// cvReach is how far from the centre ColeVishkin's final colour reads: k
+// chain predecessors plus one position per reduction sub-round.
+const cvReach = maxCVIterations + len(classicClasses)
+
 // Decide simulates the full synchronised schedule (k Cole-Vishkin
 // iterations, then the 6-to-3 reduction) on the visible segment. It commits
 // once the view either covers the whole ring or spans the k+3 dependency
 // cone of the centre's final colour.
 func (cv ColeVishkin) Decide(v local.View) (int, bool) {
 	k := iterationsToSix(cv.IDBits)
-	need := k + 3
-	if v.Radius() < need && !v.Closed(2) {
+	if v.Radius() < k+len(classicClasses) && !v.Closed(2) {
 		return 0, false
 	}
-	seg := extractSegment(v)
-	if seg.closed {
-		return cv.colourClosed(seg), true
-	}
-	return cv.colourSegment(seg, k), true
+	var buf [2*cvReach + 1]int
+	return colourSegment(extractSegment(v, buf[:]), k), true
 }
 
-// colourSegment computes the centre's final colour from an open segment
-// spanning [centre-(k+3), centre+3].
-func (cv ColeVishkin) colourSegment(seg segment, k int) int {
-	// cur[j] is the colour of position centre-3+j; the CV chain for each of
-	// the 7 cone positions consumes its k predecessors.
-	cone := make([]int, 7)
+// colourSegment computes the centre's final colour from a segment spanning
+// [centre-(k+3), centre+3], or from a closed ring read modularly (the cone
+// then wraps, which reduceCone allows).
+func colourSegment(seg segment, k int) int {
+	const r = len(classicClasses)
+	// cone[j] is the colour of position centre-r+j after the Cole-Vishkin
+	// iterations; each chain consumes its k predecessors.
+	var cone [2*r + 1]int
 	for j := range cone {
-		offset := j - 3
-		cone[j] = cv.chainColour(seg, offset, k)
-	}
-	return reduceCone(cone, 3, classicClasses)
-}
-
-// chainColour computes the centre-relative position's colour after k
-// Cole-Vishkin iterations, consuming its k predecessors within the segment.
-func (cv ColeVishkin) chainColour(seg segment, offset, k int) int {
-	chain := make([]int, k+1)
-	for i := range chain {
-		id, ok := seg.id(offset - k + i)
+		c, ok := seg.chainColour(j-r, k)
 		if !ok {
 			// Decide only calls this with a sufficient span; reaching this
 			// branch is an engine/algorithm contract violation.
 			panic("coloring: segment too short for Cole-Vishkin chain")
 		}
-		chain[i] = id
+		cone[j] = c
 	}
-	for it := 0; it < k; it++ {
-		next := make([]int, len(chain)-1)
-		for i := 1; i < len(chain); i++ {
-			next[i-1] = cvStep(chain[i], chain[i-1])
-		}
-		chain = next
-	}
-	return chain[0]
-}
-
-// colourClosed runs the synchronised schedule on the entire (small) ring.
-func (cv ColeVishkin) colourClosed(seg segment) int {
-	n := len(seg.ids)
-	colours := append([]int(nil), seg.ids...)
-	k := iterationsToSix(cv.IDBits)
-	for it := 0; it < k; it++ {
-		next := make([]int, n)
-		for pos := 0; pos < n; pos++ {
-			next[pos] = cvStep(colours[pos], colours[(pos-1+n)%n])
-		}
-		colours = next
-	}
-	final := reduceCircle(colours, classicClasses)
-	return final[seg.center]
+	orig := cone
+	return reduceCone(cone[:], orig[:], r, classicClasses[:])
 }

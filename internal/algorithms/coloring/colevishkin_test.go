@@ -61,6 +61,7 @@ func TestIterationsToSix(t *testing.T) {
 		{4, 2},  // 15 -> 7 -> 5
 		{16, 4}, // 65535 -> 31 -> 9 -> 7 -> 5
 		{62, 4}, // 2^62-1 -> 123 -> 13 -> 7 -> 5
+		{63, 4}, // 2^63-1 -> 125 -> 13 -> 7 -> 5: every non-negative int
 	}
 	for _, tt := range tests {
 		if got := iterationsToSix(tt.bits); got != tt.want {
@@ -85,6 +86,13 @@ func TestIterationsToSixLogStarGrowth(t *testing.T) {
 	}
 	if iterationsToSix(62) > 5 {
 		t.Errorf("iterationsToSix(62) = %d, want <= 5 (log* is tiny)", iterationsToSix(62))
+	}
+	// The chain stack arrays hold maxCVIterations+1 entries: no budget,
+	// however large, may need more.
+	for b := 0; b <= 80; b++ {
+		if k := iterationsToSix(b); k > maxCVIterations {
+			t.Errorf("iterationsToSix(%d) = %d exceeds maxCVIterations %d", b, k, maxCVIterations)
+		}
 	}
 }
 
@@ -218,5 +226,56 @@ func TestColeVishkinExhaustiveTinyRings(t *testing.T) {
 	rec(0)
 	if count != 720 {
 		t.Fatalf("enumerated %d permutations, want 720", count)
+	}
+}
+
+// TestColeVishkinClosedRingsMatchMessage pins the closed-ring case of the
+// view path, which reads its cone modularly even when the cone wraps the
+// ring, against the round-based message implementation: identical colours
+// on every permutation of rings of 3 to 6 vertices and on random rings up
+// to 16, under the tight bit budget and a 16-bit one (k = 4).
+func TestColeVishkinClosedRingsMatchMessage(t *testing.T) {
+	check := func(a ids.Assignment) {
+		c := graph.MustCycle(len(a))
+		for _, b := range []int{ForMaxID(a.MaxID()).IDBits, 16} {
+			view, err := local.RunView(c, a, ColeVishkin{IDBits: b})
+			if err != nil {
+				t.Fatalf("%v b=%d: RunView: %v", a, b, err)
+			}
+			msg, err := local.RunMessage(c, a, ColeVishkinMessage{IDBits: b}, local.WithMaxRadius(16))
+			if err != nil {
+				t.Fatalf("%v b=%d: RunMessage: %v", a, b, err)
+			}
+			for v := range a {
+				if view.Outputs[v] != msg.Outputs[v] {
+					t.Fatalf("%v b=%d vertex %d: view colour %d, message colour %d", a, b, v, view.Outputs[v], msg.Outputs[v])
+				}
+			}
+		}
+	}
+	for n := 3; n <= 6; n++ {
+		perm := make([]int, n)
+		for i := range perm {
+			perm[i] = i
+		}
+		var rec func(k int)
+		rec = func(k int) {
+			if k == n {
+				check(append(ids.Assignment(nil), perm...))
+				return
+			}
+			for i := k; i < n; i++ {
+				perm[k], perm[i] = perm[i], perm[k]
+				rec(k + 1)
+				perm[k], perm[i] = perm[i], perm[k]
+			}
+		}
+		rec(0)
+	}
+	rng := rand.New(rand.NewSource(63))
+	for n := 7; n <= 16; n++ {
+		for trial := 0; trial < 20; trial++ {
+			check(ids.Random(n, rng))
+		}
 	}
 }

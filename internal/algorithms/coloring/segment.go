@@ -10,6 +10,9 @@
 //     the paper's references;
 //   - FullViewGreedy: the linear-radius baseline that waits for a complete
 //     view and colours greedily in decreasing-ID order.
+//
+// The ring algorithms read a bounded neighbourhood, so their view-path
+// Decide works in fixed-size stack arrays and allocates nothing.
 package coloring
 
 import "repro/internal/local"
@@ -27,16 +30,23 @@ type segment struct {
 // none is the sentinel for "no colour constraint" in reduction cones.
 const none = -1
 
-// extractSegment reads the oriented ID sequence out of a view on a ring.
-// It relies on the OrientedRing port convention (port 0 = successor,
-// port 1 = predecessor): every interior vertex of the view exposes its full
-// port-ordered adjacency row, so the walk follows row[0] forward and row[1]
-// backward until it hits the frontier or wraps around.
-func extractSegment(v local.View) segment {
+// extractSegment writes the oriented ID sequence a view on a ring reveals
+// into buf and returns it as a segment over buf. It relies on the
+// OrientedRing port convention (port 0 = successor, port 1 = predecessor):
+// every interior vertex of the view exposes its full port-ordered
+// adjacency row, so the walk follows row[0] forward and row[1] backward
+// until it hits the frontier or wraps around.
+//
+// buf bounds the walk. A ring of at most len(buf) vertices comes back whole
+// and closed, starting at the centre. Anything longer keeps at most
+// (len(buf)-1)/2 vertices on each side of the centre and comes back open,
+// so an algorithm that reads no further than that from the centre sees the
+// same identifiers either way.
+func extractSegment(v local.View, buf []int) segment {
 	// Walk the successor chain.
-	var forward []int
-	cur := 0
-	for {
+	buf[0] = v.CenterID()
+	n := 1
+	for cur := 0; ; {
 		row := v.Neighbors(cur)
 		if len(row) < 2 {
 			break // frontier vertex: cannot tell its ports apart, stop before it
@@ -44,59 +54,56 @@ func extractSegment(v local.View) segment {
 		next := row[0]
 		if next == 0 {
 			// Wrapped: the view covers the whole ring.
-			ids := make([]int, 0, len(forward)+1)
-			ids = append(ids, v.CenterID())
-			for _, i := range forward {
-				ids = append(ids, v.ID(i))
-			}
-			return segment{ids: ids, center: 0, closed: true}
+			return segment{ids: buf[:n], closed: true}
 		}
-		forward = append(forward, next)
+		if n == len(buf) {
+			break
+		}
+		buf[n] = v.ID(next)
+		n++
 		cur = next
 	}
-	// Walk the predecessor chain.
-	var backward []int
-	cur = 0
-	for {
+	// Re-centre at h, then walk the predecessor chain into buf[:h].
+	h := (len(buf) - 1) / 2
+	f := min(n-1, h)
+	copy(buf[h:], buf[:f+1])
+	b := 0
+	for cur := 0; b < h; b++ {
 		row := v.Neighbors(cur)
 		if len(row) < 2 {
 			break
 		}
-		prev := row[1]
-		backward = append(backward, prev)
-		cur = prev
+		cur = row[1]
+		buf[h-1-b] = v.ID(cur)
 	}
-	ids := make([]int, 0, len(backward)+1+len(forward))
-	for i := len(backward) - 1; i >= 0; i-- {
-		ids = append(ids, v.ID(backward[i]))
-	}
-	center := len(ids)
-	ids = append(ids, v.CenterID())
-	for _, i := range forward {
-		ids = append(ids, v.ID(i))
-	}
-	return segment{ids: ids, center: center}
+	return segment{ids: buf[h-b : h+f+1], center: b}
 }
 
 // id returns the identifier at the given offset from the segment centre,
 // reporting false when the position lies outside the visible range.
 func (s segment) id(offset int) (int, bool) {
-	if s.closed {
-		n := len(s.ids)
-		return s.ids[((s.center+offset)%n+n)%n], true
-	}
 	pos := s.center + offset
-	if pos < 0 || pos >= len(s.ids) {
+	if uint(pos) < uint(len(s.ids)) {
+		return s.ids[pos], true
+	}
+	if !s.closed {
 		return 0, false
 	}
-	return s.ids[pos], true
+	n := len(s.ids)
+	return s.ids[(pos%n+n)%n], true
 }
 
-// span reports how far the segment extends to the left and right of the
-// centre (both are n-1 when closed, which over-covers harmlessly).
-func (s segment) span() (left, right int) {
-	if s.closed {
-		return len(s.ids) - 1, len(s.ids) - 1
+// chainColour returns the colour of the position at offset after k
+// Cole-Vishkin iterations, which consume its k predecessors; ok=false
+// when one of them lies outside the segment.
+func (s segment) chainColour(offset, k int) (int, bool) {
+	var chain [maxCVIterations + 1]int
+	for i := 0; i <= k; i++ {
+		id, ok := s.id(offset - k + i)
+		if !ok {
+			return 0, false
+		}
+		chain[i] = id
 	}
-	return s.center, len(s.ids) - 1 - s.center
+	return reduceChain(chain[:k+1]), true
 }

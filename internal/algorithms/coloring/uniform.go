@@ -13,8 +13,9 @@ import (
 // construction:
 //
 //   - Phase i guesses that identifiers fit in guessBits[i] bits; the
-//     guesses grow as a tower (4, 16, 62), so the first sufficient guess is
-//     reached after O(log*) phases and the final guess covers every int.
+//     guesses grow as a tower (4, 16, 63), so the first sufficient guess is
+//     reached after O(log*) phases and the final guess covers every
+//     non-negative int.
 //   - A vertex commits in the first phase whose guess covers every
 //     identifier within its commitment window; committed vertices run the
 //     phase's Cole-Vishkin schedule followed by a cross-phase-safe
@@ -26,30 +27,61 @@ import (
 //     already-fixed colours around them.
 //
 // Every quantity above is a deterministic function of an ID window, so the
-// whole construction is evaluated demand-driven inside Decide: the vertex
-// grows its radius exactly until its own final colour is determined.
+// view path evaluates the whole construction demand-driven inside Decide:
+// the vertex grows its radius exactly until its own final colour is
+// determined. On a graph.Cycle the kernel (DecideAll) instead computes
+// every position's phase, 6-colour and final colour in three linear passes
+// and derives each stopping radius in closed form; commitment windows that
+// never shrink from one phase to the next are what make that form exact.
 type Uniform struct{}
 
 var _ local.ViewAlgorithm = Uniform{}
 
 // guessBits are the per-phase identifier bit guesses. The tower 4 -> 2^4 ->
-// (2^16, capped at 62) terminates in three phases for every representable
-// identifier, which is the log* phenomenon in miniature.
-var guessBits = []int{4, 16, 62}
+// (2^16, capped at 63) terminates in three phases for every non-negative
+// int identifier, which is the log* phenomenon in miniature.
+var guessBits = [...]int{4, 16, 63}
+
+// phaseIters[p] is the number of Cole-Vishkin iterations of phase p:
+// (2, 4, 4).
+var phaseIters = func() (k [len(guessBits)]int) {
+	for p, b := range guessBits {
+		k[p] = iterationsToSix(b)
+	}
+	return k
+}()
+
+// noPhase is the phase of a position no guess admits (a negative
+// identifier within its last window): it never commits.
+const noPhase = len(guessBits)
+
+// coneRadius is how far the reduction cone of a committer extends on each
+// side: one position per sub-round of allClasses.
+const coneRadius = len(allClasses)
+
+// coneLen is the number of entries in a reduction cone.
+const coneLen = 2*coneRadius + 1
+
+// uniformReach bounds how far from a vertex its final colour reads: the
+// cone reaches coneRadius, each earlier phase recursed into reaches
+// coneRadius further, and the farthest entry adds its commitment window
+// (at most maxCVIterations+2). The view path's segment buffer holds that
+// much on each side.
+const uniformReach = len(guessBits)*coneRadius + maxCVIterations + 2
 
 // Name implements local.ViewAlgorithm.
 func (Uniform) Name() string { return "coloring/uniform" }
 
 // Decide evaluates the centre's final colour demand-driven and commits as
-// soon as every input of that computation lies inside the view.
+// soon as every input of that computation lies inside the view. An open
+// view never suffices below radius coneRadius + commitWindow(0): the
+// cone's outermost entries need their commitment windows visible.
 func (Uniform) Decide(v local.View) (int, bool) {
-	seg := extractSegment(v)
-	ev := uniformEval{seg: seg}
-	colour, ok := ev.finalColour(0)
-	if !ok {
+	if v.Radius() < coneRadius+commitWindow(0) && !v.Closed(2) {
 		return 0, false
 	}
-	return colour, true
+	var buf [2*uniformReach + 1]int
+	return uniformEval{seg: extractSegment(v, buf[:])}.finalColour(0)
 }
 
 // uniformEval evaluates the deterministic phase construction over a visible
@@ -61,16 +93,19 @@ type uniformEval struct {
 
 // commitWindow is the half-width of the phase-i commitment predicate: the
 // Cole-Vishkin chains of a committer and of both its neighbours must be
-// valid, which k+2 covers.
+// valid, which k+2 covers. It is (4, 6, 6): it never decreases with the
+// phase, so the windows of earlier phases lie inside a later one.
 func commitWindow(phase int) int {
-	return iterationsToSix(guessBits[phase]) + 2
+	return phaseIters[phase] + 2
 }
 
 // phaseOf returns the first phase whose guess covers every identifier
-// within the commitment window of the position.
+// within the commitment window of the position. ok=false means that the
+// phase depends on identifiers outside the segment, or that no guess
+// admits the window (a negative identifier).
 func (ev uniformEval) phaseOf(offset int) (int, bool) {
-	for phase := range guessBits {
-		fits, ok := ev.windowFits(offset, commitWindow(phase), guessBits[phase])
+	for phase, bitBudget := range guessBits {
+		fits, ok := ev.windowFits(offset, commitWindow(phase), bitBudget)
 		if fits && ok {
 			return phase, true
 		}
@@ -80,7 +115,6 @@ func (ev uniformEval) phaseOf(offset int) (int, bool) {
 			return 0, false
 		}
 	}
-	// Unreachable for int identifiers: the last guess admits everything.
 	return 0, false
 }
 
@@ -109,70 +143,55 @@ func (ev uniformEval) windowFits(offset, w, bitBudget int) (fits, ok bool) {
 // cv6 returns the position's colour after the phase's Cole-Vishkin
 // iterations (a value < 6 whenever the position committed in this phase).
 func (ev uniformEval) cv6(offset, phase int) (int, bool) {
-	k := iterationsToSix(guessBits[phase])
-	chain := make([]int, k+1)
-	for i := range chain {
-		id, visible := ev.seg.id(offset - k + i)
-		if !visible {
-			return 0, false
-		}
-		chain[i] = id
-	}
-	for it := 0; it < k; it++ {
-		next := make([]int, len(chain)-1)
-		for i := 1; i < len(chain); i++ {
-			next[i-1] = cvStep(chain[i], chain[i-1])
-		}
-		chain = next
-	}
-	return chain[0], true
+	return ev.seg.chainColour(offset, phaseIters[phase])
 }
 
 // finalColour returns the position's committed colour in {0,1,2}. It
 // recurses into neighbours committed in strictly earlier phases, so the
 // recursion depth is bounded by the number of phases.
 func (ev uniformEval) finalColour(offset int) (int, bool) {
-	phase, ok := ev.phaseOf(offset)
-	if !ok {
-		return 0, false
-	}
-	r := len(allClasses)
-	cone := make([]int, 2*r+1)
-	for j := range cone {
-		uOff := offset + j - r
-		uPhase, ok := ev.phaseOf(uOff)
+	var phases, colours [coneLen]int
+	for j := range phases {
+		p, ok := ev.phaseOf(offset + j - coneRadius)
 		if !ok {
 			return 0, false
 		}
+		phases[j] = p
+	}
+	phase := phases[coneRadius]
+	for j, p := range phases {
+		u := offset + j - coneRadius
+		ok := true
 		switch {
-		case uPhase == phase:
-			c, ok := ev.cv6(uOff, phase)
-			if !ok {
-				return 0, false
-			}
-			cone[j] = c
-		case uPhase < phase:
-			c, ok := ev.finalColour(uOff)
-			if !ok {
-				return 0, false
-			}
-			cone[j] = c
-		default:
-			cone[j] = none
+		case p == phase:
+			colours[j], ok = ev.cv6(u, phase)
+		case p < phase:
+			colours[j], ok = ev.finalColour(u)
 		}
-	}
-	// Entries committed earlier are constraints, never recoloured: replace
-	// their "original class" with fixedEntry while keeping their value.
-	orig := append([]int(nil), cone...)
-	for j := range cone {
-		uOff := offset + j - r
-		uPhase, ok := ev.phaseOf(uOff)
 		if !ok {
 			return 0, false
 		}
-		if uPhase < phase {
-			orig[j] = fixedEntry
+	}
+	return uniformColour(phase, &phases, &colours), true
+}
+
+// uniformColour builds the reduction cone of a committer of the given
+// phase and returns its final colour. Entry j describes the position
+// j-coneRadius away: phases[j] is its commit phase and colours[j] its
+// 6-colour when it commits in the same phase, or its final colour when it
+// committed earlier. Entries of later phases impose nothing.
+func uniformColour(phase int, phases, colours *[coneLen]int) int {
+	var cur, orig [coneLen]int
+	for j, p := range phases {
+		switch {
+		case p == phase:
+			cur[j], orig[j] = colours[j], colours[j]
+		case p < phase:
+			// Committed earlier: a constraint, never recoloured.
+			cur[j], orig[j] = colours[j], fixedEntry
+		default:
+			cur[j], orig[j] = none, none
 		}
 	}
-	return reduceConeWithOrig(cone, orig, r, allClasses), true
+	return reduceCone(cur[:], orig[:], coneRadius, allClasses[:])
 }

@@ -2,6 +2,7 @@ package coloring
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/graph"
@@ -227,10 +228,36 @@ func TestExtractSegmentOpenAndClosed(t *testing.T) {
 	}
 }
 
-// segProbe records the extracted segment of every vertex at a radius.
+// TestExtractSegmentClipped: a view larger than the buffer keeps the
+// positions nearest the centre and reports itself open, whether the view
+// is an open arc or a ring too long for the buffer.
+func TestExtractSegmentClipped(t *testing.T) {
+	c := graph.MustCycle(9)
+	a := ids.Identity(9)
+	for _, radius := range []int{3, 4} {
+		var segs []segment
+		if _, err := local.RunView(c, a, segProbe{radius: radius, buf: 5, out: &segs}); err != nil {
+			t.Fatalf("RunView: %v", err)
+		}
+		s := segs[0]
+		if s.closed || s.center != 2 || !reflect.DeepEqual(s.ids, []int{7, 8, 0, 1, 2}) {
+			t.Errorf("radius %d, buffer 5: segment %+v, want open [7 8 0 1 2] centred at 2", radius, s)
+		}
+	}
+	var whole []segment
+	if _, err := local.RunView(c, a, segProbe{radius: 4, buf: 9, out: &whole}); err != nil {
+		t.Fatalf("RunView: %v", err)
+	}
+	if s := whole[3]; !s.closed || !reflect.DeepEqual(s.ids, []int{3, 4, 5, 6, 7, 8, 0, 1, 2}) {
+		t.Errorf("radius 4, buffer 9: segment %+v, want the closed ring from 3", s)
+	}
+}
+
+// segProbe records the extracted segment of every vertex at a radius,
+// walked into a buffer of buf entries (2*radius+1 when zero).
 type segProbe struct {
-	radius int
-	out    *[]segment
+	radius, buf int
+	out         *[]segment
 }
 
 func (segProbe) Name() string { return "segProbe" }
@@ -238,11 +265,15 @@ func (p segProbe) Decide(v local.View) (int, bool) {
 	if v.Radius() < p.radius {
 		return 0, false
 	}
-	*p.out = append(*p.out, extractSegment(v))
+	buf := p.buf
+	if buf == 0 {
+		buf = 2*p.radius + 1
+	}
+	*p.out = append(*p.out, extractSegment(v, make([]int, buf)))
 	return 0, true
 }
 
-func TestSegmentIDAndSpan(t *testing.T) {
+func TestSegmentID(t *testing.T) {
 	s := segment{ids: []int{10, 11, 12, 13, 14}, center: 2}
 	if id, ok := s.id(0); !ok || id != 12 {
 		t.Errorf("id(0) = %d,%v", id, ok)
@@ -253,9 +284,8 @@ func TestSegmentIDAndSpan(t *testing.T) {
 	if _, ok := s.id(3); ok {
 		t.Error("id(3) should be out of range")
 	}
-	l, r := s.span()
-	if l != 2 || r != 2 {
-		t.Errorf("span = %d,%d", l, r)
+	if _, ok := s.id(-3); ok {
+		t.Error("id(-3) should be out of range")
 	}
 
 	cs := segment{ids: []int{5, 6, 7}, center: 0, closed: true}
@@ -264,5 +294,8 @@ func TestSegmentIDAndSpan(t *testing.T) {
 	}
 	if id, ok := cs.id(4); !ok || id != 6 {
 		t.Errorf("closed id(4) = %d,%v, want 6", id, ok)
+	}
+	if id, ok := cs.id(-7); !ok || id != 7 {
+		t.Errorf("closed id(-7) = %d,%v, want 7", id, ok)
 	}
 }

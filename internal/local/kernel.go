@@ -59,8 +59,8 @@ type KernelRun struct {
 	Ctx context.Context
 	// Scratch is kernel-owned spill storage the engine preserves across
 	// the Runner's runs: a kernel that needs per-pass working memory (the
-	// ring colouring's segment buffer) takes it with IntScratch instead of
-	// allocating once per trial.
+	// ring colouring's per-position arrays) takes it with IntScratch
+	// instead of allocating once per trial.
 	Scratch []int
 }
 

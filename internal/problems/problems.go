@@ -77,9 +77,12 @@ func (c Coloring) Verify(g graph.Graph, a ids.Assignment, outputs []int) error {
 			return fmt.Errorf("problems: vertex %d colour %d outside [0,%d)", v, col, c.K)
 		}
 	}
-	for _, e := range graph.Edges(g) {
-		if outputs[e[0]] == outputs[e[1]] {
-			return fmt.Errorf("problems: edge %d-%d monochromatic (colour %d)", e[0], e[1], outputs[e[0]])
+	// Each edge once, as v < w, in graph.Edges order without building it.
+	for v := range outputs {
+		for p := 0; p < g.Degree(v); p++ {
+			if w := g.Neighbor(v, p); v < w && outputs[v] == outputs[w] {
+				return fmt.Errorf("problems: edge %d-%d monochromatic (colour %d)", v, w, outputs[v])
+			}
 		}
 	}
 	return nil
@@ -104,9 +107,11 @@ func (MIS) Verify(g graph.Graph, a ids.Assignment, outputs []int) error {
 			return fmt.Errorf("problems: vertex %d output %d is not Yes/No", v, out)
 		}
 	}
-	for _, e := range graph.Edges(g) {
-		if outputs[e[0]] == Yes && outputs[e[1]] == Yes {
-			return fmt.Errorf("problems: adjacent vertices %d and %d both in the set", e[0], e[1])
+	for v := range outputs {
+		for p := 0; p < g.Degree(v); p++ {
+			if w := g.Neighbor(v, p); v < w && outputs[v] == Yes && outputs[w] == Yes {
+				return fmt.Errorf("problems: adjacent vertices %d and %d both in the set", v, w)
+			}
 		}
 	}
 	for v, out := range outputs {

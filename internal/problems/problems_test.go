@@ -57,6 +57,52 @@ func TestColoringVerify(t *testing.T) {
 	}
 }
 
+// TestVerifyNamesFirstViolation pins which of several violations Verify
+// reports: edges are visited as v < w in graph.Edges order, so on C6 the
+// port-1 edge 0-5 comes before 1-2 and 4-5.
+func TestVerifyNamesFirstViolation(t *testing.T) {
+	c := graph.MustCycle(6)
+	a := ids.Identity(6)
+	err := (Coloring{K: 3}).Verify(c, a, []int{0, 1, 1, 2, 0, 0})
+	if want := "problems: edge 0-5 monochromatic (colour 0)"; err == nil || err.Error() != want {
+		t.Errorf("Coloring.Verify = %v, want %q", err, want)
+	}
+	err = (MIS{}).Verify(c, a, []int{Yes, Yes, No, Yes, No, Yes})
+	if want := "problems: adjacent vertices 0 and 1 both in the set"; err == nil || err.Error() != want {
+		t.Errorf("MIS.Verify = %v, want %q", err, want)
+	}
+	err = (MIS{}).Verify(c, a, []int{Yes, No, Yes, Yes, No, Yes})
+	if want := "problems: adjacent vertices 0 and 5 both in the set"; err == nil || err.Error() != want {
+		t.Errorf("MIS.Verify = %v, want %q", err, want)
+	}
+}
+
+// TestVerifyAllocationFree keeps the per-trial verifiers off the heap: they
+// walk adjacency rows instead of building an edge list.
+func TestVerifyAllocationFree(t *testing.T) {
+	const n = 4096
+	var g graph.Graph = graph.MustCycle(n)
+	a := ids.Identity(n)
+	colours, members := make([]int, n), make([]int, n)
+	for v := range colours {
+		colours[v] = v % 2
+		members[v] = (v + 1) % 2
+	}
+	for _, tc := range []struct {
+		p       Problem
+		outputs []int
+	}{{Coloring{K: 3}, colours}, {MIS{}, members}} {
+		var err error
+		allocs := testing.AllocsPerRun(20, func() { err = tc.p.Verify(g, a, tc.outputs) })
+		if err != nil {
+			t.Fatalf("%s: %v", tc.p.Name(), err)
+		}
+		if allocs != 0 {
+			t.Errorf("%s.Verify allocates %.0f times on a %d-ring, want 0", tc.p.Name(), allocs, n)
+		}
+	}
+}
+
 func TestColoringOddCycleNeedsThree(t *testing.T) {
 	// Sanity: no proper 2-colouring of C5 exists; the verifier must reject
 	// every attempt that uses only colours {0,1}.
