@@ -86,8 +86,8 @@ func TestLeaseRunCLI(t *testing.T) {
 // TestLeaseSurvivesSIGKILL is the chaos harness's process-level leg: a real
 // executor process is SIGKILLed mid-run — after it has durably committed at
 // least one grain, before it could finish — and a rescuer started against
-// the same store must adopt the corpse's lease, finish the space, and
-// produce the single-process bytes. No cooperation from the victim: SIGKILL
+// the same store must re-execute the grain the corpse had claimed, finish
+// the space, and produce the single-process bytes. No cooperation from the victim: SIGKILL
 // cannot be caught, so whatever the store holds at death is the recovery
 // contract.
 func TestLeaseSurvivesSIGKILL(t *testing.T) {

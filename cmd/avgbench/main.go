@@ -23,15 +23,16 @@
 //
 // Distributed runs of any experiment are leased over a shared store
 // directory: start any number of executors against one store, at any
-// time; they lease grain-aligned trial ranges, steal straggler tails, and
-// re-execute dead workers' claims. Every executor that returns
-// prints the same bytes. A killed run resumes by running the executor
-// again — the store's completion records are its checkpoint:
+// time; each claims free grains of the trial space one at a time, and
+// re-executes grains a slow or dead peer claimed but did not complete once
+// it has nothing else to do. Every executor that returns prints the same
+// bytes. A killed run resumes by running the executor again — the store's
+// completion records are its checkpoint:
 //
 //	avgbench -e E6 -store run/ -lease          # executor 1
 //	avgbench -e E6 -store run/ -lease          # executor 2, started later
 //	sweepmerge -store run/                     # or merge without executing
-//	avgbench -e E6 -store run/ -shard 0/2      # static i-of-m schedule (no stealing)
+//	avgbench -e E6 -store run/ -shard 0/2      # static i-of-m schedule (one slice of the grains)
 package main
 
 import (
@@ -79,7 +80,7 @@ func run(args []string) error {
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile to this file after the runs")
 	shardFlag := fs.String("shard", "", "static lease schedule: execute only slice I/M (0-based, e.g. 0/2) of the run in -store; merge with sweepmerge -store")
 	storeFlag := fs.String("store", "", "shared store directory for a leased run; executors pointing at the same store cooperate on one experiment, and rerunning resumes it (with -lease or -shard)")
-	leaseFlag := fs.Bool("lease", false, "join the store's work-stealing leased run: lease uncovered trial ranges, steal straggler tails, print the merged table when the space is covered; requires -store")
+	leaseFlag := fs.Bool("lease", false, "join the store's leased run: claim free grains of the trial space, re-execute grains stalled peers left, print the merged table when the space is covered; requires -store")
 	workerFlag := fs.String("worker", "", "this executor's id in the leased run (default host-pid)")
 	grainsFlag := fs.Int("grains", 0, "grains each size's trial space is quantized into for leasing (0 = engine default; all executors of a run must agree)")
 	if err := fs.Parse(args); err != nil {
@@ -145,7 +146,7 @@ func run(args []string) error {
 			return fmt.Errorf("-store needs a single -e experiment, not %q", *expID)
 		}
 		if *leaseFlag == (*shardFlag != "") {
-			return fmt.Errorf("-store needs exactly one schedule: -lease (work stealing) or -shard I/M (static)")
+			return fmt.Errorf("-store needs exactly one schedule: -lease (dynamic claims) or -shard I/M (static)")
 		}
 	}
 
@@ -220,8 +221,8 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "avgbench: %s leased run in %s as %s: %d grains (%d duplicate), %d claims, %d steals, %d adopted, %d speculated\n",
-			e.ID, *storeFlag, opts.Worker, stats.Grains, stats.Duplicates, stats.Claims, stats.Steals, stats.Adopted, stats.Speculated)
+		fmt.Fprintf(os.Stderr, "avgbench: %s leased run in %s as %s: %d grains (%d duplicate), %d claims, %d adopted, %d speculated\n",
+			e.ID, *storeFlag, opts.Worker, stats.Grains, stats.Duplicates, stats.Claims, stats.Adopted, stats.Speculated)
 		if *shardFlag != "" {
 			// This executor only owes its own slice; the run may still be
 			// incomplete until every static peer has finished.
@@ -278,7 +279,7 @@ func run(args []string) error {
 
 // defaultWorker derives a store-name-safe executor id from the host name
 // and pid — unique enough for executors that share a store the intended
-// way (one per process), and self-describing in `ls <store>/…/lease/`.
+// way (one per process), and self-describing in the store's claim markers.
 func defaultWorker() string {
 	host, err := os.Hostname()
 	if err != nil || host == "" {

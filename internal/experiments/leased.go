@@ -1,20 +1,20 @@
 package experiments
 
-// Leased runs: the experiment-level face of the sweep engine's
-// work-stealing lease protocol (internal/sweep/lease.go), and the one way
-// to split, resume or share an experiment run. Any number of executors —
-// started at any time, in any process sharing the store — pull
-// grain-aligned trial ranges from the uncovered space, steal straggler
-// tails and re-execute dead workers' claims, all while the merged table
-// stays byte-identical to a single-process run. A killed run resumes by
+// Leased runs: the experiment-level face of the sweep engine's grain
+// claims (internal/sweep/lease.go), and the one way to split, resume or
+// share an experiment run. Any number of executors — started at any time,
+// in any process sharing the store — claim free grains of the uncovered
+// trial space one at a time and re-execute grains a slow or dead peer
+// claimed but did not complete, all while the merged table stays
+// byte-identical to a single-process run. A killed run resumes by
 // starting an executor again; LeaseOptions.Static gives the fixed i-of-m
-// split instead of work stealing.
+// split instead.
 //
 // The store layout namespaces one run per (experiment, normalized config):
 //
 //	lease/<exp>-<confighash>/manifest – experiment id + full config
-//	lease/<exp>-<confighash>/s<k>/…   – sweep k's lease run (plan, leases,
-//	                                    per-grain completions)
+//	lease/<exp>-<confighash>/s<k>/…   – sweep k's lease run (plan, claim
+//	                                    markers, per-grain completions)
 //
 // The manifest makes a store self-describing: a merger (cmd/sweepmerge
 // -store) discovers the run, recovers the config, and tabulates without

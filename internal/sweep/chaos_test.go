@@ -1,10 +1,10 @@
 package sweep
 
 // The chaos suite is the lease protocol's correctness argument made
-// executable: whatever combination of worker kills, steals, speculative
-// duplicates, replayed completions and torn store writes a scenario throws
-// at a run, the surviving records must still collect to the bytes of a
-// single uninterrupted Run. Scenarios are seeded and self-contained — a
+// executable: whatever combination of worker kills, re-executed claims,
+// replayed completions and torn store writes a scenario throws at a run,
+// the surviving records must still collect to the bytes of a single
+// uninterrupted Run. Scenarios are seeded and self-contained — a
 // failure names its seed in the subtest name, so
 //
 //	go test -run 'TestChaosLeaseEquivalence/seed7' ./internal/sweep/
@@ -12,8 +12,9 @@ package sweep
 // replays exactly the failing schedule-independent scenario (worker
 // counts, kill points, fault periods and delays all derive from the seed;
 // only goroutine interleaving varies, which the protocol must tolerate by
-// design). The deterministic protocol tests alongside pin each recovery
-// mechanism — steal, speculation, adoption — individually.
+// design). The deterministic protocol tests alongside pin each case of the
+// claim rule — a slow peer, a dead peer, this executor's own leftover
+// marker — individually.
 
 import (
 	"bytes"
@@ -27,61 +28,10 @@ import (
 	"time"
 )
 
-// TestLeasedStealFromStraggler pins the steal path: a slow worker claims
-// the whole trial space, a fast worker arriving late finds the free pool
-// empty and must take the straggler's tail — and the merge is unharmed.
-func TestLeasedStealFromStraggler(t *testing.T) {
-	spec := cycleSpec(21, []int{9}, 32, 1)
-	want, err := Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := NewMemStore()
-	claimed := make(chan struct{})
-	var once sync.Once
-	var wg sync.WaitGroup
-	wg.Add(1)
-	var slowErr error
-	go func() {
-		defer wg.Done()
-		_, slowErr = RunLeased(context.Background(), spec, st, LeaseOptions{
-			Worker:         "slow",
-			GrainsPerSize:  8,
-			MaxLeaseGrains: 8, // claim everything at once: nothing left but stealing
-			Throttle: func(Block) {
-				once.Do(func() { close(claimed) })
-				time.Sleep(4 * time.Millisecond)
-			},
-		})
-	}()
-	<-claimed
-	fast, err := RunLeased(context.Background(), spec, st, LeaseOptions{
-		Worker:        "fast",
-		GrainsPerSize: 8,
-		Poll:          time.Millisecond,
-	})
-	if err != nil {
-		t.Fatalf("fast worker: %v", err)
-	}
-	wg.Wait()
-	if slowErr != nil {
-		t.Fatalf("slow worker: %v", slowErr)
-	}
-	if fast.Steals == 0 {
-		t.Errorf("fast worker never stole: %+v", fast)
-	}
-	got, err := CollectLeased(st, "leaserun", mustPlanOf(spec))
-	if err != nil {
-		t.Fatalf("CollectLeased: %v", err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Errorf("stolen run differs from direct run\nwant: %+v\ngot:  %+v", want, got)
-	}
-}
-
-// TestLeasedSpeculateOnStraggler pins speculation: when the only remaining
-// work is a single in-flight grain, an idle worker re-executes it rather
-// than waiting forever, and the duplicate completion changes nothing.
+// TestLeasedSpeculateOnStraggler pins the slow-peer case: when the only
+// remaining work is a grain a live peer is still running, an idle worker
+// re-executes it after its patience rather than waiting forever, and the
+// duplicate completion changes nothing.
 func TestLeasedSpeculateOnStraggler(t *testing.T) {
 	spec := cycleSpec(22, []int{8}, 6, 1)
 	want, err := Run(context.Background(), spec)
@@ -98,7 +48,7 @@ func TestLeasedSpeculateOnStraggler(t *testing.T) {
 		defer wg.Done()
 		_, slowErr = RunLeased(context.Background(), spec, st, LeaseOptions{
 			Worker:        "slow",
-			GrainsPerSize: 1, // the whole size is one grain: unstealable
+			GrainsPerSize: 1, // the whole size is one grain
 			Throttle: func(Block) {
 				once.Do(func() { close(claimed) })
 				time.Sleep(30 * time.Millisecond)
@@ -107,10 +57,9 @@ func TestLeasedSpeculateOnStraggler(t *testing.T) {
 	}()
 	<-claimed
 	fast, err := RunLeased(context.Background(), spec, st, LeaseOptions{
-		Worker:         "fast",
-		GrainsPerSize:  1,
-		Poll:           time.Millisecond,
-		SpeculateScans: 2,
+		Worker:        "fast",
+		GrainsPerSize: 1,
+		Poll:          time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("fast worker: %v", err)
@@ -131,42 +80,86 @@ func TestLeasedSpeculateOnStraggler(t *testing.T) {
 	}
 }
 
-// TestLeasedAdoptExpiredLease pins adoption: a lease whose heartbeat froze
-// (its worker crashed without cleaning up) is expired after the observer's
-// patience and its remainder returns to the free pool.
+// TestLeasedAdoptExpiredLease pins the dead-peer case: a crashed
+// executor's claim markers (SIGKILL leaves them behind) hold back a live
+// executor only for its patience; then it re-executes the claimed grains,
+// leaving the dead executor's markers in place.
 func TestLeasedAdoptExpiredLease(t *testing.T) {
 	spec := cycleSpec(23, []int{10}, 24, 1)
 	want, err := Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := NewMemStore()
-	// A crashed worker's leftover claim: covers the whole space, Beat
-	// frozen forever. RunLeased cleans its own record up even on error, so
-	// the crash is simulated by planting the record directly.
 	plan := mustPlanOf(spec)
-	dead := &Lease{PlanSum: planSum(plan), Worker: "dead", SizeIdx: 0, T0: 0, T1: 24, Next: 0, Seq: 1}
-	if err := ensureLeasePlan(st, "leaserun", &leasePlan{Plan: plan, Grains: 6}); err != nil {
+	mem := NewMemStore()
+	if err := ensureLeasePlan(mem, "leaserun", &leasePlan{Plan: plan, Grains: 6}); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := EncodeLease(&buf, dead); err != nil {
-		t.Fatal(err)
+	const g = 4 // grainSize(24, 6)
+	for t0 := 0; t0 < 24; t0 += g {
+		if err := mem.Put(claimKey("leaserun", Block{T0: t0, T1: t0 + g}), []byte("dead")); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := st.Put("leaserun/lease/dead", buf.Bytes()); err != nil {
-		t.Fatal(err)
-	}
+	scans, firstRun := 0, 0
+	st := &faultingStore{Store: mem, onList: func(string) error { scans++; return nil }}
 	stats, err := RunLeased(context.Background(), spec, st, LeaseOptions{
 		Worker:        "healer",
 		GrainsPerSize: 6,
 		Poll:          time.Millisecond,
-		ExpireScans:   3,
+		Throttle: func(Block) {
+			if firstRun == 0 {
+				firstRun = scans
+			}
+		},
 	})
 	if err != nil {
 		t.Fatalf("healer: %v", err)
 	}
-	if stats.Adopted == 0 {
-		t.Errorf("healer never adopted the dead lease: %+v", stats)
+	if firstRun <= patience {
+		t.Errorf("healer re-executed a claimed grain in pass %d, before %d idle passes", firstRun, patience)
+	}
+	if stats.Speculated != 24/g || stats.Claims != 0 || stats.Adopted != 0 {
+		t.Errorf("healer stats %+v, want all %d dead-claimed grains re-executed", stats, 24/g)
+	}
+	if owner, err := mem.Get(claimKey("leaserun", Block{T0: 0, T1: g})); err != nil || string(owner) != "dead" {
+		t.Errorf("dead executor's marker = %q, %v; a re-execution must leave it", owner, err)
+	}
+	got, err := CollectLeased(mem, "leaserun", plan)
+	if err != nil {
+		t.Fatalf("CollectLeased: %v", err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Errorf("re-executed run differs from direct run\nwant: %+v\ngot:  %+v", want, got)
+	}
+}
+
+// TestLeasedAdoptOwnClaim pins the own-marker case: an uncovered grain
+// carrying this executor's marker (a killed earlier run under the same
+// worker id, or a completion write that failed) is re-executed on the
+// spot. With an hour-long Poll, any wait for patience would hang the run.
+func TestLeasedAdoptOwnClaim(t *testing.T) {
+	spec := cycleSpec(29, []int{9}, 12, 1)
+	want, err := Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := mustPlanOf(spec)
+	st := NewMemStore()
+	if err := ensureLeasePlan(st, "leaserun", &leasePlan{Plan: plan, Grains: 4}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(claimKey("leaserun", Block{T0: 3, T1: 6}), []byte("self")); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	stats, err := RunLeased(ctx, spec, st, LeaseOptions{Worker: "self", GrainsPerSize: 4, Poll: time.Hour})
+	if err != nil {
+		t.Fatalf("RunLeased: %v", err)
+	}
+	if stats.Adopted != 1 || stats.Claims != 3 || stats.Grains != 4 {
+		t.Errorf("stats %+v, want the own-marked grain adopted and the other 3 claimed", stats)
 	}
 	got, err := CollectLeased(st, "leaserun", plan)
 	if err != nil {
@@ -223,8 +216,8 @@ func scenarioFor(seed int64) chaosScenario {
 }
 
 // TestChaosLeaseEquivalence is the headline harness: every seeded scenario
-// of kills, duplicates, steals and torn writes must end in a store whose
-// CollectLeased equals the single-process Run byte for byte.
+// of kills, duplicates, re-executed claims and torn writes must end in a
+// store whose CollectLeased equals the single-process Run byte for byte.
 func TestChaosLeaseEquivalence(t *testing.T) {
 	seeds := []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
 	if testing.Short() {
@@ -291,11 +284,9 @@ func runChaosScenario(t *testing.T, sc chaosScenario) {
 				grains := 0
 				var mu sync.Mutex
 				_, err := RunLeased(ctx, sc.spec, st, LeaseOptions{
-					Worker:         fmt.Sprintf("wave%d-w%d", w, i),
-					GrainsPerSize:  sc.grains,
-					Poll:           time.Millisecond,
-					ExpireScans:    4,
-					SpeculateScans: 2,
+					Worker:        fmt.Sprintf("wave%d-w%d", w, i),
+					GrainsPerSize: sc.grains,
+					Poll:          time.Millisecond,
 					Throttle: func(Block) {
 						mu.Lock()
 						grains++

@@ -30,9 +30,6 @@ const (
 	// FormatLeasePlan tags a lease run's identity record: the plan plus the
 	// grain schedule every cooperating executor must agree on (lease.go).
 	FormatLeasePlan = "sweep.leaseplan"
-	// FormatLease tags one executor's mutable claim record: the leased
-	// trial range, its progress cursor, heartbeat and fencing token.
-	FormatLease = "sweep.lease"
 	// FormatCompletion tags an immutable per-grain completion record: the
 	// block coordinate plus its aggregate.
 	FormatCompletion = "sweep.completion"

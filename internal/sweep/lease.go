@@ -1,33 +1,38 @@
 package sweep
 
-// Work-stealing grain leases over a Store: the one way to split, resume or
-// share a sweep across executors and processes. Executors lease
-// variable-size, grain-aligned trial ranges out of the plan's uncovered
-// space (the Done-complement subtractRanges computes), execute them one
-// grain at a time through the ordinary engine, and publish an immutable
-// per-grain completion record after each grain. Fast workers drain the free pool, then steal the tail
-// half of the largest straggler lease, then speculatively re-execute live
-// stragglers — so heterogeneous workers finish together instead of waiting
-// on the slowest static slice. The static i-of-m split (LeaseOptions.Static)
-// is the degenerate schedule that never steals, and a single executor over
-// a DirStore is a checkpointed run: its completion records are the
-// checkpoint, so a killed run resumes by starting the executor again.
+// Grain claims over a Store: the one way to split, resume or share a sweep
+// across executors and processes. Each size's trial space is quantized
+// into grains. An executor walks the grains of its target, largest size
+// first and within a size in an order of its own, claims a free grain by
+// writing a marker that holds its worker id, executes the grain through
+// the ordinary engine, and publishes an immutable per-grain completion
+// record. One rule covers every recovery:
+//
+//   - a grain another executor has claimed but not completed is skipped at
+//     first, and re-executed once this executor has made patience idle
+//     passes — so a dead peer, a slow peer and a peer whose completion
+//     write failed all cost at most a duplicate, never a stall;
+//   - a grain that carries this executor's own marker but no completion
+//     (a killed earlier run under the same worker id, or a completion write
+//     that failed) is re-executed at once.
+//
+// The static i-of-m split (LeaseOptions.Static) is the same rule over one
+// slice of the grains, and a single executor over a DirStore is a
+// checkpointed run: its completion records are the checkpoint, so a killed
+// run resumes by starting the executor again.
 //
 // Safety never rests on mutual exclusion. Every grain's aggregate is a
 // deterministic function of the plan and the grain's coordinates alone, so
-// two workers racing on one grain publish byte-identical records and the
-// first write wins; a lost lease, a duplicated completion or a crashed
-// worker only ever duplicates work. The merge (CollectLeased) folds one
-// record per grain in ascending trial order — bit-identical to a single
-// uninterrupted run — and rejects anything else: overlapping ranges are a
-// typed *OverlapError (double-counting), gaps a typed *IncompleteError,
-// and torn or foreign records fail decoding with the codec's *DecodeError.
-//
-// Liveness uses heartbeats, not wall-clock: a lease whose Beat counter
-// stays frozen across ExpireScans of an idle observer's scans is expired
-// and its remainder returns to the free pool. False expiry is safe (it
-// only duplicates), so the protocol needs no clock agreement between
-// workers — which also keeps the chaos suite deterministic and shrinkable.
+// two executors racing on one grain publish byte-identical records and the
+// first write wins; a lost marker, a duplicated completion or a crashed
+// executor only ever duplicates work. Markers are advisory: they are never
+// decoded, and they may stay after their grain completes. The merge
+// (CollectLeased) folds one record per grain in ascending trial order —
+// bit-identical to a single uninterrupted run — and rejects anything else:
+// overlapping ranges are a typed *OverlapError (double-counting) and gaps a
+// typed *IncompleteError. Torn or foreign records count as absent, for the
+// merge and the executors alike (runShape.read is their one predicate), so
+// an executor re-executes every grain the merge would find missing.
 
 import (
 	"bytes"
@@ -41,32 +46,9 @@ import (
 	"math"
 	"sort"
 	"time"
-)
 
-// Lease is one executor's mutable claim record: the grain-aligned trial
-// range it intends to execute, its progress cursor, a heartbeat counter,
-// and the fencing token steals are ordered by. Stored at
-// <run>/lease/<worker> and rewritten after every grain.
-type Lease struct {
-	// PlanSum fingerprints the plan this claim belongs to; records with a
-	// foreign sum are ignored by scans.
-	PlanSum uint64 `json:"plansum"`
-	// Worker is the claiming executor's id.
-	Worker string `json:"worker"`
-	// SizeIdx, T0, T1 locate the claimed range in the plan's trial space.
-	SizeIdx int `json:"size"`
-	T0      int `json:"t0"`
-	T1      int `json:"t1"`
-	// Next is the first trial not yet executed: [T0, Next) is published as
-	// completions, [Next, T1) is the remainder a thief may take.
-	Next int `json:"next"`
-	// Beat increments after every grain — the liveness signal expiry
-	// watches.
-	Beat int64 `json:"beat"`
-	// Seq is the claim's fencing token: a steal writes a higher Seq, and
-	// the victim cedes any tail a higher-Seq lease overlaps.
-	Seq int64 `json:"seq"`
-}
+	"repro/internal/ids"
+)
 
 // Completion is the immutable per-grain result record: the block
 // coordinate plus the aggregate of exactly its trials. Stored at
@@ -79,8 +61,8 @@ type Completion struct {
 	Block   Block  `json:"block"`
 	// Weight is the per-trial fold weight of the block's aggregate: the
 	// orbit size under a quotient plan, omitted (meaning 1) otherwise.
-	// Scans treat a record whose weight disagrees with the plan's as
-	// foreign — its aggregate covers a different mass.
+	// Records whose weight disagrees with the plan's do not count — their
+	// aggregate covers a different mass.
 	Weight int64     `json:"weight,omitempty"`
 	Stats  SizeStats `json:"stats"`
 }
@@ -100,39 +82,6 @@ func normWeight(w int64) int64 {
 type leasePlan struct {
 	Plan   Plan `json:"plan"`
 	Grains int  `json:"grains"`
-}
-
-// EncodeLease serializes a claim record with the shared versioned envelope.
-func EncodeLease(w io.Writer, l *Lease) error {
-	return EncodeFile(w, FormatLease, l)
-}
-
-// DecodeLease reads a claim record and validates its internal structure;
-// forged or truncated input fails with a typed *DecodeError, never a panic.
-func DecodeLease(r io.Reader) (*Lease, error) {
-	l := &Lease{}
-	if err := DecodeFile(r, FormatLease, l); err != nil {
-		return nil, err
-	}
-	reject := func(reason string) (*Lease, error) {
-		return nil, &DecodeError{Format: FormatLease, Reason: reason}
-	}
-	if l.Worker == "" {
-		return reject("missing worker id")
-	}
-	if l.SizeIdx < 0 {
-		return reject(fmt.Sprintf("negative size index %d", l.SizeIdx))
-	}
-	if l.T0 < 0 || l.T0 >= l.T1 {
-		return reject(fmt.Sprintf("invalid claim range [%d,%d)", l.T0, l.T1))
-	}
-	if l.Next < l.T0 || l.Next > l.T1 {
-		return reject(fmt.Sprintf("cursor %d outside claim [%d,%d]", l.Next, l.T0, l.T1))
-	}
-	if l.Beat < 0 {
-		return reject(fmt.Sprintf("negative heartbeat %d", l.Beat))
-	}
-	return l, nil
 }
 
 // EncodeCompletion serializes a completion record.
@@ -226,39 +175,23 @@ type LeaseOptions struct {
 	// Prefix is the run's namespace inside the store (default "leaserun").
 	// Executors sharing a prefix cooperate on one plan.
 	Prefix string
-	// Worker is this executor's unique id (required; store-name-safe).
+	// Worker is this executor's unique id (required; store-name-safe). Its
+	// claim markers hold it, and it seeds the executor's grain order.
 	Worker string
 	// GrainsPerSize is the target number of grains each size's trial space
 	// is quantized into (default 16). All executors of a run must agree —
 	// the run's plan record enforces it.
 	GrainsPerSize int
-	// MaxLeaseGrains caps how many grains one claim takes from the free
-	// pool (default 4), so the tail stays stealable.
-	MaxLeaseGrains int
-	// ExpireScans is how many idle scans a lease's heartbeat may stay
-	// frozen before the observer treats it as dead and adopts its
-	// remainder (default 8). Expiry is per-observer and false positives
-	// are safe: they only duplicate deterministic work.
-	ExpireScans int
-	// SpeculateScans is how many idle scans an executor waits before
-	// speculatively re-executing a live straggler's remaining range
-	// (default 3).
-	SpeculateScans int
-	// Poll is the idle wait between scans when no work is claimable
-	// (default 25ms). Consecutive idle scans, and retries of transient
-	// store faults, back off from Poll (×1.5 per attempt, capped at 8×Poll,
-	// with 20% jitter seeded from the worker id) instead of hammering the
-	// store at a fixed rate.
+	// Poll is the wait after a pass that executed nothing (default 25ms).
+	// Consecutive idle passes, and retries of a transiently failing scan,
+	// back off from Poll (×1.5 per attempt, capped at 8×Poll, with 20%
+	// jitter seeded from the worker id) instead of hammering the store at a
+	// fixed rate.
 	Poll time.Duration
-	// StoreRetries bounds how many backed-off retries one store operation
-	// gets before the executor gives up on it (default 2): a completion
-	// write that still fails leaves its grain uncovered for any executor
-	// to redo, a scan that still fails ends the run with a *WorkerError.
-	StoreRetries int
-	// Static degrades the executor to the classic i-of-m schedule: it
-	// claims exactly the grains whose start falls in this shard's slice,
-	// never steals, and exits when ITS slice is covered rather than the
-	// whole space. The zero value is the dynamic work-stealing schedule.
+	// Static degrades the executor to the classic i-of-m schedule: it walks
+	// only the grains whose start falls in this shard's slice and exits when
+	// ITS slice is covered rather than the whole space. The zero value walks
+	// every grain.
 	Static Shard
 	// Throttle, when set, runs before every grain execution — the test
 	// hook unequal-speed soak workers and chaos kills are built on.
@@ -267,18 +200,22 @@ type LeaseOptions struct {
 
 // LeaseStats summarises one executor's participation.
 type LeaseStats struct {
-	// Grains counts grain executions, including speculative duplicates.
+	// Grains counts grain executions, re-executions included.
 	Grains int
 	// Duplicates counts grains skipped because a valid completion already
-	// existed when this executor reached them.
+	// existed when this executor was about to execute them.
 	Duplicates int
-	// Claims counts fresh leases taken from the free pool.
+	// Claims counts markers written on free grains.
 	Claims int
-	// Steals counts straggler tails taken from live leases.
+	// Steals is always zero: a claim covers a single grain, so there is no
+	// claimed remainder to take from a peer. The field keeps the stats'
+	// shape for readers that report it.
 	Steals int
-	// Adopted counts expired leases whose remainder this executor took.
+	// Adopted counts re-executions of grains that carried this executor's
+	// own marker but no completion.
 	Adopted int
-	// Speculated counts live stragglers re-executed speculatively.
+	// Speculated counts re-executions of grains another executor had
+	// claimed but not completed, made after the idle-pass patience.
 	Speculated int
 }
 
@@ -326,11 +263,11 @@ func planSum(p Plan) uint64 {
 
 // Store layout helpers.
 func leasePlanKey(prefix string) string { return prefix + "/plan" }
-func leaseKey(prefix, worker string) string {
-	return prefix + "/lease/" + worker
-}
 func completionKey(prefix string, b Block) string {
 	return fmt.Sprintf("%s/done/%d-%d", prefix, b.SizeIdx, b.T0)
+}
+func claimKey(prefix string, b Block) string {
+	return fmt.Sprintf("%s/claim/%d-%d", prefix, b.SizeIdx, b.T0)
 }
 
 // grainSize quantizes one size's trial count into about grains pieces.
@@ -371,90 +308,46 @@ func ensureLeasePlan(st Store, prefix string, lp *leasePlan) error {
 	return nil
 }
 
-// scanState is one snapshot of the run: which trials are covered by valid
-// completions, which claims are live, and the highest fencing token seen.
-type scanState struct {
-	coverage [][]TrialRange
-	leases   map[string]*Lease
-	maxSeq   int64
-}
-
-// leaseScanner reads the run's records, caching decoded completions (they
-// are immutable once valid) so repeated scans cost O(new records), not
-// O(all records).
-type leaseScanner struct {
-	st      Store
-	prefix  string
+// runShape is what a completion record must match to count toward a run.
+type runShape struct {
 	sum     uint64
+	sizes   []int
 	counts  []int
-	weights []int
-	comps   map[string]*Completion
+	weights []int // fold weight per size index (quotient orbit size)
 }
 
-func newLeaseScanner(st Store, prefix string, sum uint64, counts, weights []int) *leaseScanner {
-	return &leaseScanner{st: st, prefix: prefix, sum: sum, counts: counts,
-		weights: weights, comps: make(map[string]*Completion)}
-}
-
-// planWeights derives the per-size fold weights of a plan whose Counts
-// already validated (Orders aligned with Sizes under Quotient).
-func planWeights(p Plan) []int {
+func shapeOf(p Plan) (runShape, error) {
+	counts, err := p.Counts()
+	if err != nil {
+		return runShape{}, err
+	}
 	ws := make([]int, len(p.Sizes))
 	for i := range ws {
 		ws[i] = p.Weight(i)
 	}
-	return ws
+	return runShape{sum: planSum(p), sizes: p.Sizes, counts: counts, weights: ws}, nil
 }
 
-func (s *leaseScanner) scan() (*scanState, error) {
-	names, err := s.st.List(s.prefix + "/done/")
+// read fetches the completion record at name and returns it if it counts
+// toward the run, nil otherwise: it must decode, and carry the plan's
+// fingerprint, a size index and trial range inside the plan, that size's n
+// and its fold weight. Executors and CollectLeased both decide with it, so
+// an executor never takes as done a record the merge would skip.
+func (s *runShape) read(st Store, name string) *Completion {
+	data, err := st.Get(name)
 	if err != nil {
-		return nil, err
+		return nil // vanished mid-scan: absent
 	}
-	for _, name := range names {
-		if _, ok := s.comps[name]; ok {
-			continue
-		}
-		data, err := s.st.Get(name)
-		if err != nil {
-			continue // vanished mid-scan: absent
-		}
-		c, derr := DecodeCompletion(bytes.NewReader(data))
-		if derr != nil {
-			continue // torn or forged: absent until overwritten with valid bytes
-		}
-		if c.PlanSum != s.sum || c.Block.SizeIdx >= len(s.counts) ||
-			c.Block.T1 > s.counts[c.Block.SizeIdx] ||
-			normWeight(c.Weight) != int64(s.weights[c.Block.SizeIdx]) {
-			continue // foreign record (wrong plan, range, or fold weight)
-		}
-		s.comps[name] = c
-	}
-	sc := &scanState{coverage: make([][]TrialRange, len(s.counts)), leases: make(map[string]*Lease)}
-	for _, c := range s.comps {
-		sc.coverage[c.Block.SizeIdx] = insertRange(sc.coverage[c.Block.SizeIdx],
-			TrialRange{T0: c.Block.T0, T1: c.Block.T1})
-	}
-	lnames, err := s.st.List(s.prefix + "/lease/")
+	c, err := DecodeCompletion(bytes.NewReader(data))
 	if err != nil {
-		return nil, err
+		return nil // torn or forged: absent until overwritten with valid bytes
 	}
-	for _, name := range lnames {
-		data, err := s.st.Get(name)
-		if err != nil {
-			continue
-		}
-		l, derr := DecodeLease(bytes.NewReader(data))
-		if derr != nil || l.PlanSum != s.sum || l.SizeIdx >= len(s.counts) ||
-			l.T1 > s.counts[l.SizeIdx] {
-			continue
-		}
-		sc.leases[l.Worker] = l
-		if l.Seq > sc.maxSeq {
-			sc.maxSeq = l.Seq
-		}
+	i := c.Block.SizeIdx
+	if c.PlanSum != s.sum || i >= len(s.counts) || c.Block.T1 > s.counts[i] ||
+		c.Stats.N != s.sizes[i] || normWeight(c.Weight) != int64(s.weights[i]) {
+		return nil // foreign: another plan, range, size or fold weight
 	}
-	return sc, nil
+	return c
 }
 
 // covered reports whether the coalesced ascending range list contains
@@ -497,7 +390,7 @@ func insertRange(ranges []TrialRange, r TrialRange) []TrialRange {
 }
 
 // isRetryable reports whether a store operation's failure is worth a
-// backed-off retry of the same operation:
+// backed-off retry, or a later re-execution of the same grain:
 //
 //   - context cancellation or deadline: no — the caller is being told to
 //     stop, not the medium failing;
@@ -505,8 +398,8 @@ func insertRange(ranges []TrialRange, r TrialRange) []TrialRange {
 //     store does not heal by retrying;
 //   - *DecodeError: no — corrupt bytes re-read identically;
 //   - anything else: yes — an unclassified media fault is presumed
-//     transient. Retrying a permanent fault only costs the small
-//     StoreRetries budget; giving up on a blip costs a worker death.
+//     transient. Retrying a permanent fault only costs a few backed-off
+//     attempts; giving up on a blip costs a worker death.
 func isRetryable(err error) bool {
 	if err == nil {
 		return false
@@ -521,31 +414,33 @@ func isRetryable(err error) bool {
 	return !errors.As(err, &de)
 }
 
-// claimKind classifies how a claim was obtained, for stats accounting.
-type claimKind int
-
 const (
-	claimFresh claimKind = iota
-	claimSteal
-	claimAdopt
-	claimSpec
+	// patience is how many consecutive idle passes (passes that executed
+	// nothing) an executor makes before it re-executes grains another
+	// executor has claimed but not completed.
+	patience = 3
+	// scanRetries bounds the backed-off rescans a transiently failing scan
+	// gets before the executor gives up.
+	scanRetries = 2
 )
 
 // leaseRunner is one RunLeased invocation's working state.
 type leaseRunner struct {
-	spec    Spec
-	st      Store
-	opts    LeaseOptions
-	retry   backoff
-	prefix  string
-	sum     uint64
-	counts  []int
-	weights []int        // fold weight per size index (quotient orbit size)
-	grain   []int        // grain size per size index
-	target  []TrialRange // this worker's target range per size
-	order   []int        // size indices, largest instance first
-	stats   LeaseStats
-	scanner *leaseScanner
+	spec   Spec
+	st     Store
+	opts   LeaseOptions
+	retry  backoff
+	shape  runShape
+	grain  []int        // grain size per size index
+	target []TrialRange // this executor's target range per size
+	order  []int        // size indices, largest instance first
+	// done caches the counted completion records by store key. Counted
+	// records are never overwritten, so a scan fetches only new names.
+	done map[string]*Completion
+	// held is the marker of the grain running under this executor's own
+	// claim, deleted if the executor fails mid-grain.
+	held  string
+	stats LeaseStats
 }
 
 // RunLeased executes the spec's plan as one cooperating lease executor
@@ -585,20 +480,8 @@ func RunLeased(ctx context.Context, spec Spec, st Store, opts LeaseOptions) (Lea
 	if opts.GrainsPerSize <= 0 {
 		opts.GrainsPerSize = 16
 	}
-	if opts.MaxLeaseGrains <= 0 {
-		opts.MaxLeaseGrains = 4
-	}
-	if opts.ExpireScans <= 0 {
-		opts.ExpireScans = 8
-	}
-	if opts.SpeculateScans <= 0 {
-		opts.SpeculateScans = 3
-	}
 	if opts.Poll <= 0 {
 		opts.Poll = 25 * time.Millisecond
-	}
-	if opts.StoreRetries <= 0 {
-		opts.StoreRetries = 2
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -608,7 +491,7 @@ func RunLeased(ctx context.Context, spec Spec, st Store, opts LeaseOptions) (Lea
 	if err != nil {
 		return zero, err
 	}
-	counts, err := plan.Counts()
+	shape, err := shapeOf(plan)
 	if err != nil {
 		return zero, err
 	}
@@ -617,13 +500,13 @@ func RunLeased(ctx context.Context, spec Spec, st Store, opts LeaseOptions) (Lea
 	}
 
 	r := &leaseRunner{
-		spec: spec, st: st, opts: opts, prefix: opts.Prefix,
-		sum: planSum(plan), counts: counts, weights: planWeights(plan),
+		spec: spec, st: st, opts: opts, shape: shape,
 		retry:  leaseBackoff(opts.Poll, opts.Worker),
-		grain:  make([]int, len(counts)),
-		target: make([]TrialRange, len(counts)),
+		grain:  make([]int, len(shape.counts)),
+		target: make([]TrialRange, len(shape.counts)),
+		done:   make(map[string]*Completion),
 	}
-	for i, c := range counts {
+	for i, c := range shape.counts {
 		r.grain[i] = grainSize(c, opts.GrainsPerSize)
 		lo, hi := 0, c
 		if !opts.Static.IsZero() {
@@ -644,299 +527,190 @@ func RunLeased(ctx context.Context, spec Spec, st Store, opts LeaseOptions) (Lea
 	sort.SliceStable(r.order, func(a, b int) bool {
 		return plan.Sizes[r.order[a]] > plan.Sizes[r.order[b]]
 	})
-	r.scanner = newLeaseScanner(st, r.prefix, r.sum, counts, r.weights)
 
-	defer st.Delete(leaseKey(r.prefix, opts.Worker))
-	if err = r.loop(ctx); err != nil {
+	if err := r.loop(ctx); err != nil {
+		if r.held != "" {
+			// Free the interrupted grain for peers at once, instead of after
+			// their patience. Best effort: a marker left behind only delays.
+			st.Delete(r.held)
+		}
 		// Everything past option validation is a worker-attributable
 		// failure.
-		err = &WorkerError{Worker: opts.Worker, Err: err}
+		return r.stats, &WorkerError{Worker: opts.Worker, Err: err}
 	}
-	return r.stats, err
+	return r.stats, nil
 }
 
-// beatTrack follows one remote lease's heartbeat across idle scans.
-type beatTrack struct {
-	beat     int64
-	stagnant int
-}
-
-// loop is the executor's claim-execute cycle.
+// loop makes passes over the target until a scan finds it covered. Each
+// pass lists the completions once, then visits every uncovered grain in
+// this executor's order; a pass that executed nothing backs off.
 func (r *leaseRunner) loop(ctx context.Context) error {
-	beats := make(map[string]*beatTrack)
-	idle := 0
-	scanFaults := 0
+	idle, faults := 0, 0
 	for {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("sweep: leased run cancelled: %w", err)
 		}
-		sc, err := r.scanner.scan()
-		if err != nil {
-			// A transiently faulting store gets StoreRetries backed-off
+		if err := r.scan(); err != nil {
+			// A transiently faulting store gets scanRetries backed-off
 			// rescans before the executor dies; a final fault — vanished
 			// root, permission — kills the executor immediately.
-			if scanFaults++; !isRetryable(err) || scanFaults > r.opts.StoreRetries {
+			if faults++; !isRetryable(err) || faults > scanRetries {
 				return err
 			}
-			r.retry.wait(ctx, scanFaults-1)
+			r.retry.wait(ctx, faults-1)
 			continue
 		}
-		scanFaults = 0
-		done := true
-		for i, t := range r.target {
-			if !covered(sc.coverage[i], t) {
-				done = false
-			}
-		}
-		if done {
+		faults = 0
+		cov := r.coverage()
+		if r.complete(cov) {
 			return nil
 		}
-		// Heartbeat bookkeeping happens on every scan — a busy executor
-		// must still notice a dead peer, or its frozen lease would pin the
-		// uncovered head of the space forever. Stagnation counts scans with
-		// an unchanged Beat; false expiry (a merely slow peer) is safe, it
-		// only duplicates deterministic work.
-		for w, l := range sc.leases {
-			if w == r.opts.Worker {
-				continue
-			}
-			if bt := beats[w]; bt != nil && bt.beat == l.Beat {
-				bt.stagnant++
-			} else {
-				beats[w] = &beatTrack{beat: l.Beat}
-			}
-		}
-		for w := range beats {
-			if _, live := sc.leases[w]; !live {
-				delete(beats, w)
-			}
-		}
-		expired := make(map[string]bool)
-		for w, bt := range beats {
-			if bt.stagnant >= r.opts.ExpireScans {
-				expired[w] = true
+		ran := false
+		for _, i := range r.order {
+			t, g := r.target[i], r.grain[i]
+			k := (t.T1 - t.T0 + g - 1) / g
+			// Executors walk a size's grains in orders of their own (seeded
+			// by the worker id, like the backoff), so peers rarely reach the
+			// same free grain at once.
+			perm := ids.NewStreamPerm(k, r.retry.seed)
+			for j := 0; j < k; j++ {
+				t0 := t.T0 + perm.ID(j)*g
+				b := Block{SizeIdx: i, T0: t0, T1: min(t0+g, t.T1)}
+				if covered(cov[i], TrialRange{T0: b.T0, T1: b.T1}) {
+					continue
+				}
+				executed, err := r.visit(ctx, b, idle >= patience)
+				if err != nil {
+					return err
+				}
+				ran = ran || executed
 			}
 		}
-		b, kind, ok := r.chooseClaim(sc, expired, idle)
-		if !ok {
-			// Someone else holds all remaining work: back off and rescan,
-			// waiting longer the longer nothing is claimable.
-			r.retry.wait(ctx, idle)
-			idle++
+		if r.complete(r.coverage()) {
+			return nil
+		}
+		if ran {
+			idle = 0
 			continue
 		}
-		idle = 0
-		switch kind {
-		case claimFresh:
-			r.stats.Claims++
-		case claimSteal:
-			r.stats.Steals++
-		case claimAdopt:
-			r.stats.Adopted++
-		case claimSpec:
-			r.stats.Speculated++
-		}
-		if err := r.executeLease(ctx, b, sc.maxSeq+1); err != nil {
-			return err
-		}
+		// Peers hold all remaining work: back off and rescan, waiting
+		// longer the longer nothing is claimable.
+		r.retry.wait(ctx, idle)
+		idle++
 	}
 }
 
-// chooseClaim picks this executor's next lease: a fresh range from the
-// free pool (adopting expired claims' remainders), else a stolen straggler
-// tail, else — after some idle patience — a speculative duplicate of a
-// live straggler.
-func (r *leaseRunner) chooseClaim(sc *scanState, expired map[string]bool, idle int) (Block, claimKind, bool) {
-	// Live remote claims block the free pool; expired ones do not.
-	live := make([]*Lease, 0, len(sc.leases))
-	for w, l := range sc.leases {
-		if w == r.opts.Worker || expired[w] || l.Next >= l.T1 {
+// scan lists the run's completion records and caches every new one that
+// counts.
+func (r *leaseRunner) scan() error {
+	names, err := r.st.List(r.opts.Prefix + "/done/")
+	if err != nil {
+		return err
+	}
+	for _, name := range names {
+		if _, ok := r.done[name]; ok {
 			continue
 		}
-		live = append(live, l)
-	}
-	sort.Slice(live, func(a, b int) bool { return live[a].Worker < live[b].Worker })
-
-	for _, i := range r.order {
-		busy := append([]TrialRange(nil), sc.coverage[i]...)
-		for _, l := range live {
-			if l.SizeIdx == i {
-				busy = insertRange(busy, TrialRange{T0: l.Next, T1: l.T1})
-			}
-		}
-		avail := subtractRanges(r.target[i].T0, r.target[i].T1, busy)
-		if len(avail) == 0 {
-			continue
-		}
-		g := r.grain[i]
-		rng := avail[0]
-		t1 := rng.T0 + r.opts.MaxLeaseGrains*g
-		if t1 > rng.T1 {
-			t1 = rng.T1
-		}
-		b := Block{SizeIdx: i, T0: rng.T0, T1: t1}
-		kind := claimFresh
-		for w, l := range sc.leases {
-			if expired[w] && l.SizeIdx == i && l.Next < b.T1 && b.T0 < l.T1 {
-				kind = claimAdopt
-			}
-		}
-		return b, kind, true
-	}
-	if !r.opts.Static.IsZero() {
-		// The degenerate schedule never steals: its slice is either done
-		// (loop exits) or being executed by this very worker.
-		return Block{}, 0, false
-	}
-
-	// Steal: take the tail half of the largest live UNCOVERED remainder,
-	// if it still spans at least two grains. Subtracting coverage matters
-	// for progress: a tail that is already covered by completions must not
-	// be stolen again and again while the victim's head stays pinned.
-	var victim *Lease
-	var victimRem []TrialRange
-	victimGrains := 1
-	for _, l := range live {
-		rem := subtractRanges(l.Next, l.T1, sc.coverage[l.SizeIdx])
-		g := r.grain[l.SizeIdx]
-		k := 0
-		for _, x := range rem {
-			k += (x.T1 - x.T0 + g - 1) / g
-		}
-		if k > victimGrains {
-			victim, victimRem, victimGrains = l, rem, k
+		if c := r.shape.read(r.st, name); c != nil {
+			r.done[name] = c
 		}
 	}
-	if victim != nil {
-		g := r.grain[victim.SizeIdx]
-		need := victimGrains / 2
-		t0 := victim.Next
-		for j := len(victimRem) - 1; j >= 0; j-- {
-			x := victimRem[j]
-			k := (x.T1 - x.T0 + g - 1) / g
-			if k >= need {
-				t0 = x.T0 + (k-need)*g
-				break
-			}
-			need -= k
-		}
-		return Block{SizeIdx: victim.SizeIdx, T0: t0, T1: victim.T1}, claimSteal, true
-	}
-
-	// Speculation: every remaining claim is a single in-flight grain. After
-	// a little patience, re-execute one — duplicates are byte-identical, so
-	// the only cost is work, and the benefit is not waiting on a straggler
-	// that may never finish. Only claims with uncovered work qualify.
-	if idle >= r.opts.SpeculateScans {
-		for _, l := range live {
-			rem := subtractRanges(l.Next, l.T1, sc.coverage[l.SizeIdx])
-			if len(rem) > 0 {
-				return Block{SizeIdx: l.SizeIdx, T0: rem[0].T0, T1: l.T1}, claimSpec, true
-			}
-		}
-	}
-	return Block{}, 0, false
-}
-
-// executeLease publishes the claim and executes it grain by grain: skip
-// grains someone already completed, run the rest through the engine, write
-// a completion per grain, heartbeat the lease, and cede any tail a
-// higher-Seq thief has taken.
-func (r *leaseRunner) executeLease(ctx context.Context, b Block, seq int64) error {
-	l := Lease{PlanSum: r.sum, Worker: r.opts.Worker,
-		SizeIdx: b.SizeIdx, T0: b.T0, T1: b.T1, Next: b.T0, Seq: seq}
-	r.putLease(&l) // advisory: a failed write only hides the claim, never corrupts
-	g := r.grain[b.SizeIdx]
-	for l.Next < l.T1 {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("sweep: leased run cancelled: %w", err)
-		}
-		t1 := l.Next + g
-		if t1 > l.T1 {
-			t1 = l.T1
-		}
-		gb := Block{SizeIdx: b.SizeIdx, T0: l.Next, T1: t1}
-		key := completionKey(r.prefix, gb)
-		if data, err := r.st.Get(key); err == nil {
-			if _, derr := DecodeCompletion(bytes.NewReader(data)); derr == nil {
-				// First write wins: a valid record is never overwritten.
-				r.stats.Duplicates++
-				r.advance(&l, t1)
-				continue
-			}
-		}
-		if r.opts.Throttle != nil {
-			r.opts.Throttle(gb)
-		}
-		stats, err := r.runGrain(ctx, gb)
-		if err != nil {
-			return err
-		}
-		comp := &Completion{PlanSum: r.sum, Worker: r.opts.Worker, Block: gb, Stats: stats}
-		if w := r.weights[gb.SizeIdx]; w > 1 {
-			comp.Weight = int64(w)
-		}
-		var buf bytes.Buffer
-		if err := EncodeCompletion(&buf, comp); err != nil {
-			return err
-		}
-		for attempt := 0; ; attempt++ {
-			// Bounded, backed-off retries ride out transient faults; a final
-			// fault (vanished root, permission) stops immediately. A grain
-			// whose record still fails to land simply stays uncovered: some
-			// executor (possibly this one, next claim) re-runs it and
-			// overwrites whatever garbage the failed write left.
-			perr := r.st.Put(key, buf.Bytes())
-			if perr == nil || !isRetryable(perr) {
-				break
-			}
-			if attempt >= r.opts.StoreRetries || r.retry.wait(ctx, attempt) != nil {
-				break
-			}
-		}
-		r.stats.Grains++
-		r.advance(&l, t1)
-	}
-	r.st.Delete(leaseKey(r.prefix, r.opts.Worker))
 	return nil
 }
 
-// advance moves the lease cursor past a finished (or skipped) grain,
-// cedes any tail a higher-Seq claim overlaps, and heartbeats the record.
-func (r *leaseRunner) advance(l *Lease, next int) {
-	l.Next = next
-	l.Beat++
-	if names, err := r.st.List(r.prefix + "/lease/"); err == nil {
-		for _, name := range names {
-			if name == leaseKey(r.prefix, l.Worker) {
-				continue
-			}
-			data, err := r.st.Get(name)
-			if err != nil {
-				continue
-			}
-			o, derr := DecodeLease(bytes.NewReader(data))
-			if derr != nil || o.PlanSum != r.sum || o.SizeIdx != l.SizeIdx || o.Seq <= l.Seq {
-				continue
-			}
-			// A higher-Seq claim overlapping our remainder wins it.
-			if o.T0 < l.T1 && l.Next < o.T1 && o.T0 >= l.Next {
-				l.T1 = o.T0
-			}
-		}
+// coverage coalesces the cached records into per-size covered ranges.
+func (r *leaseRunner) coverage() [][]TrialRange {
+	cov := make([][]TrialRange, len(r.target))
+	for _, c := range r.done {
+		i := c.Block.SizeIdx
+		cov[i] = insertRange(cov[i], TrialRange{T0: c.Block.T0, T1: c.Block.T1})
 	}
-	if l.Next > l.T1 {
-		l.Next = l.T1
-	}
-	r.putLease(l)
+	return cov
 }
 
-func (r *leaseRunner) putLease(l *Lease) {
-	var buf bytes.Buffer
-	if err := EncodeLease(&buf, l); err != nil {
-		return
+// complete reports whether cov covers every size's target.
+func (r *leaseRunner) complete(cov [][]TrialRange) bool {
+	for i, t := range r.target {
+		if !covered(cov[i], t) {
+			return false
+		}
 	}
-	r.st.Put(leaseKey(r.prefix, l.Worker), buf.Bytes())
+	return true
+}
+
+// visit applies the claim rule to one uncovered grain and reports whether
+// it executed the grain: claim it if free, re-execute it at once under this
+// executor's own marker, and under another executor's marker only when
+// speculate is set (the patience ran out). A speculating executor leaves
+// the other executor's marker as it is.
+func (r *leaseRunner) visit(ctx context.Context, b Block, speculate bool) (bool, error) {
+	mark := claimKey(r.opts.Prefix, b)
+	owner, err := r.st.Get(mark)
+	var redo *int // the re-execution counter; nil for a fresh claim
+	switch {
+	case err != nil:
+		// Free (or unreadable, which only risks a duplicate). A failed
+		// marker write only hides the claim — unless the store is gone.
+		if err := r.st.Put(mark, []byte(r.opts.Worker)); err != nil && !isRetryable(err) {
+			return false, err
+		}
+		r.stats.Claims++
+		r.held = mark
+	case string(owner) == r.opts.Worker:
+		r.held, redo = mark, &r.stats.Adopted
+	case speculate:
+		redo = &r.stats.Speculated
+	default:
+		return false, nil
+	}
+	ran, err := r.execute(ctx, b)
+	if err != nil {
+		return ran, err
+	}
+	r.held = ""
+	if ran && redo != nil {
+		*redo++
+	}
+	return ran, nil
+}
+
+// execute runs one grain and publishes its completion record, unless a
+// record that counts already exists for this very grain (first write wins:
+// a valid record is never overwritten). It reports whether it ran the
+// grain.
+func (r *leaseRunner) execute(ctx context.Context, b Block) (bool, error) {
+	key := completionKey(r.opts.Prefix, b)
+	if c := r.shape.read(r.st, key); c != nil && c.Block == b {
+		r.stats.Duplicates++
+		r.done[key] = c
+		return false, nil
+	}
+	if r.opts.Throttle != nil {
+		r.opts.Throttle(b)
+	}
+	stats, err := r.runGrain(ctx, b)
+	if err != nil {
+		return true, err
+	}
+	r.stats.Grains++
+	comp := &Completion{PlanSum: r.shape.sum, Worker: r.opts.Worker, Block: b, Stats: stats}
+	if w := r.shape.weights[b.SizeIdx]; w > 1 {
+		comp.Weight = int64(w)
+	}
+	var buf bytes.Buffer
+	if err := EncodeCompletion(&buf, comp); err != nil {
+		return true, err
+	}
+	// A final fault (vanished root, permission) ends the run. A transient
+	// one leaves the grain uncovered, so a later pass re-executes it and
+	// overwrites whatever the failed write left.
+	switch err := r.st.Put(key, buf.Bytes()); {
+	case err == nil:
+		r.done[key] = comp
+	case !isRetryable(err):
+		return true, err
+	}
+	return true, nil
 }
 
 // runGrain executes exactly the grain's trials through the ordinary
@@ -946,8 +720,8 @@ func (r *leaseRunner) putLease(l *Lease) {
 // cache, so repeated grains at one size share their BFS layers.
 func (r *leaseRunner) runGrain(ctx context.Context, b Block) (SizeStats, error) {
 	s := r.spec
-	done := make([][]TrialRange, len(r.counts))
-	for j, c := range r.counts {
+	done := make([][]TrialRange, len(r.shape.counts))
+	for j, c := range r.shape.counts {
 		if j != b.SizeIdx {
 			done[j] = []TrialRange{{T0: 0, T1: c}}
 			continue
@@ -979,75 +753,6 @@ func sleepCtx(ctx context.Context, d time.Duration) {
 	}
 }
 
-// SizeProgress is one size's coverage in a leased run: how many of its
-// trials are covered by valid completion records.
-type SizeProgress struct {
-	N     int `json:"n"`
-	Done  int `json:"done"`
-	Total int `json:"total"`
-}
-
-// Progress is one lease-scan snapshot of a run, taken without joining it:
-// a run whose Covered count and Beats sum both freeze across snapshots
-// while claims are live is making no progress.
-type Progress struct {
-	// Sizes is the per-size completion coverage, in plan order.
-	Sizes []SizeProgress `json:"sizes"`
-	// Workers counts the live claim records in the store.
-	Workers int `json:"workers"`
-	// Beats sums the live claims' heartbeat counters.
-	Beats int64 `json:"beats"`
-}
-
-// Covered returns the total completed trials across sizes.
-func (p *Progress) Covered() int {
-	t := 0
-	for _, s := range p.Sizes {
-		t += s.Done
-	}
-	return t
-}
-
-// Total returns the run's total trial count across sizes.
-func (p *Progress) Total() int {
-	t := 0
-	for _, s := range p.Sizes {
-		t += s.Total
-	}
-	return t
-}
-
-// Complete reports whether every size's trial space is fully covered.
-func (p *Progress) Complete() bool { return p.Covered() == p.Total() }
-
-// LeaseProgress snapshots a lease run's coverage and live claims without
-// joining it: one scan over the run's records, the same validation the
-// executors apply (torn, foreign or overlapping-plan records read as
-// absent). A store holding no records yet reports zero coverage, not an
-// error — the run simply has not started.
-func LeaseProgress(st Store, prefix string, plan Plan) (*Progress, error) {
-	counts, err := plan.Counts()
-	if err != nil {
-		return nil, err
-	}
-	sc, err := newLeaseScanner(st, prefix, planSum(plan), counts, planWeights(plan)).scan()
-	if err != nil {
-		return nil, err
-	}
-	p := &Progress{Sizes: make([]SizeProgress, len(plan.Sizes)), Workers: len(sc.leases)}
-	for i, n := range plan.Sizes {
-		done := 0
-		for _, r := range sc.coverage[i] {
-			done += r.T1 - r.T0
-		}
-		p.Sizes[i] = SizeProgress{N: n, Done: done, Total: counts[i]}
-	}
-	for _, l := range sc.leases {
-		p.Beats += l.Beat
-	}
-	return p, nil
-}
-
 // CollectLeased folds a lease run's completion records into the Result a
 // single uninterrupted Run of the plan's spec produces, byte for byte. It
 // is strict: per size, the valid records must tile the plan's trial space
@@ -1057,7 +762,7 @@ func LeaseProgress(st Store, prefix string, plan Plan) (*Progress, error) {
 // records are skipped (they are "absent", exactly as executors treat
 // them), so they surface as gaps, never as corrupted aggregates.
 func CollectLeased(st Store, prefix string, plan Plan) (*Result, error) {
-	counts, err := plan.Counts()
+	shape, err := shapeOf(plan)
 	if err != nil {
 		return nil, err
 	}
@@ -1067,7 +772,6 @@ func CollectLeased(st Store, prefix string, plan Plan) (*Result, error) {
 			return nil, fmt.Errorf("sweep: lease run %q holds a different plan", prefix)
 		}
 	}
-	sum := planSum(plan)
 	names, err := st.List(prefix + "/done/")
 	if err != nil {
 		return nil, err
@@ -1080,20 +784,9 @@ func CollectLeased(st Store, prefix string, plan Plan) (*Result, error) {
 	}
 	bySize := make([][]keyed, len(plan.Sizes))
 	for _, name := range names {
-		data, err := st.Get(name)
-		if err != nil {
-			continue
+		if c := shape.read(st, name); c != nil {
+			bySize[c.Block.SizeIdx] = append(bySize[c.Block.SizeIdx], keyed{c: c, key: name})
 		}
-		c, derr := DecodeCompletion(bytes.NewReader(data))
-		if derr != nil {
-			continue
-		}
-		if c.PlanSum != sum || c.Block.SizeIdx >= len(counts) ||
-			c.Block.T1 > counts[c.Block.SizeIdx] || c.Stats.N != plan.Sizes[c.Block.SizeIdx] ||
-			normWeight(c.Weight) != int64(plan.Weight(c.Block.SizeIdx)) {
-			continue
-		}
-		bySize[c.Block.SizeIdx] = append(bySize[c.Block.SizeIdx], keyed{c: c, key: name})
 	}
 
 	out := &Result{Sizes: make([]SizeStats, len(plan.Sizes))}
@@ -1121,8 +814,8 @@ func CollectLeased(st Store, prefix string, plan Plan) (*Result, error) {
 			prev = TrialRange{T0: c.Block.T0, T1: c.Block.T1}
 			cur = c.Block.T1
 		}
-		if cur < counts[i] {
-			missing = append(missing, TrialRange{T0: cur, T1: counts[i]})
+		if cur < shape.counts[i] {
+			missing = append(missing, TrialRange{T0: cur, T1: shape.counts[i]})
 		}
 		if len(missing) > 0 {
 			return nil, &IncompleteError{N: n, Missing: missing, Prefix: prefix}

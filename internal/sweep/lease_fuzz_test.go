@@ -8,53 +8,12 @@ import (
 	"testing"
 )
 
-// FuzzDecodeLease is the lease record's robustness contract: forged,
-// truncated or bit-flipped claim records must either decode cleanly or
-// fail with the codec's typed *DecodeError — never panic — and anything
-// that decodes must round-trip losslessly. (A replayed stale-but-valid
-// record decodes fine by design; the protocol neutralises it with the
-// PlanSum check and the Seq fencing token, not the codec.)
-func FuzzDecodeLease(f *testing.F) {
-	l := &Lease{PlanSum: 0xfeed, Worker: "w0", SizeIdx: 1, T0: 8, T1: 24, Next: 16, Beat: 5, Seq: 3}
-	var buf bytes.Buffer
-	if err := EncodeLease(&buf, l); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2]) // truncated mid-envelope
-	f.Add([]byte(`{"format":"sweep.lease","version":3,"payload":{}}`))
-	f.Add([]byte(`{"format":"sweep.lease","version":3,"payload":{"worker":"w","t0":4,"t1":2,"next":3}}`))
-	f.Add([]byte(`{"format":"sweep.lease","version":3,"payload":{"worker":"w","t0":0,"t1":4,"next":9}}`))
-	f.Add([]byte(`{"format":"sweep.lease","version":3,"payload":{}}`))
-	f.Add([]byte(`{"format":"sweep.completion","version":3,"payload":{}}`))
-	f.Add(bytes.Replace(valid, []byte(`"next"`), []byte(`"nxet"`), 1))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		l, err := DecodeLease(bytes.NewReader(data))
-		if err != nil {
-			var de *DecodeError
-			if !errors.As(err, &de) {
-				t.Fatalf("rejection is not a typed *DecodeError: %v", err)
-			}
-			return
-		}
-		var out bytes.Buffer
-		if err := EncodeLease(&out, l); err != nil {
-			t.Fatalf("decoded lease failed to re-encode: %v", err)
-		}
-		again, err := DecodeLease(bytes.NewReader(out.Bytes()))
-		if err != nil {
-			t.Fatalf("re-encoded lease failed to decode: %v", err)
-		}
-		if !reflect.DeepEqual(l, again) {
-			t.Fatalf("lease round trip not lossless\nfirst:  %+v\nsecond: %+v", l, again)
-		}
-	})
-}
-
-// FuzzDecodeCompletion: same contract for the per-grain completion record,
-// whose payload additionally carries an aggregate that must satisfy the
-// size invariants and cover exactly the block's trials.
+// FuzzDecodeCompletion is the per-grain completion record's robustness
+// contract: forged, truncated or bit-flipped records must either decode
+// cleanly or fail with the codec's typed *DecodeError — never panic — and
+// anything that decodes must round-trip losslessly. The payload carries an
+// aggregate that must satisfy the size invariants and cover exactly the
+// block's trials.
 func FuzzDecodeCompletion(f *testing.F) {
 	c := &Completion{PlanSum: 0xbeef, Worker: "w1",
 		Block: Block{SizeIdx: 0, T0: 4, T1: 8},

@@ -111,8 +111,8 @@ func TestLeasedConcurrentWorkersIdentical(t *testing.T) {
 }
 
 // Static leases are the degenerate i-of-m schedule: m executors, run even
-// sequentially (no one to steal from), tile the grain set exactly once and
-// collect to the uninterrupted bytes.
+// sequentially (no peer markers to wait on), tile the grain set exactly
+// once and collect to the uninterrupted bytes.
 func TestLeasedStaticScheduleIdentical(t *testing.T) {
 	spec := cycleSpec(11, []int{9, 14}, 22, 2)
 	want, err := Run(context.Background(), spec)
@@ -133,8 +133,8 @@ func TestLeasedStaticScheduleIdentical(t *testing.T) {
 		}
 		total.Add(stats)
 	}
-	if total.Steals != 0 || total.Speculated != 0 {
-		t.Errorf("static schedule stole or speculated: %+v", total)
+	if total.Adopted != 0 || total.Speculated != 0 {
+		t.Errorf("static schedule re-executed grains: %+v", total)
 	}
 	got, err := CollectLeased(st, "leaserun", mustPlanOf(spec))
 	if err != nil {
@@ -148,8 +148,8 @@ func TestLeasedStaticScheduleIdentical(t *testing.T) {
 // staticLeased runs spec as m static lease executors over one store, one
 // after another with their own worker pool sizes, and collects the run.
 // Static leases are the degenerate i-of-m schedule: run sequentially
-// (no one to steal from) they must tile the grain set exactly once, and
-// never steal or speculate.
+// (no peer markers to wait on) they must tile the grain set exactly once,
+// and never re-execute a grain.
 func staticLeased(t *testing.T, spec Spec, m int, workersOf func(i int) int) *Result {
 	t.Helper()
 	st := NewMemStore()
@@ -161,8 +161,8 @@ func staticLeased(t *testing.T, spec Spec, m int, workersOf func(i int) int) *Re
 		if err != nil {
 			t.Fatalf("static shard %d/%d: %v", i, m, err)
 		}
-		if stats.Steals != 0 || stats.Speculated != 0 {
-			t.Errorf("static shard %d/%d stole or speculated: %+v", i, m, stats)
+		if stats.Adopted != 0 || stats.Speculated != 0 {
+			t.Errorf("static shard %d/%d re-executed grains: %+v", i, m, stats)
 		}
 	}
 	got, err := CollectLeased(st, "leaserun", mustPlanOf(spec))
@@ -427,44 +427,12 @@ func TestLeasedTornWritesRecovered(t *testing.T) {
 	}
 }
 
-// Lease and completion codecs reject forged structure with typed errors
-// and round-trip valid records exactly.
+// The completion codec rejects forged structure with typed errors and
+// round-trips valid records exactly.
 func TestLeaseCodecValidation(t *testing.T) {
-	l := &Lease{PlanSum: 99, Worker: "w1", SizeIdx: 1, T0: 4, T1: 12, Next: 8, Beat: 3, Seq: 2}
 	var buf bytes.Buffer
-	if err := EncodeLease(&buf, l); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeLease(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(l, got) {
-		t.Fatalf("lease round-trip = %+v, want %+v", got, l)
-	}
-	badLeases := []Lease{
-		{PlanSum: 1, Worker: "", T0: 0, T1: 4, Next: 0},
-		{PlanSum: 1, Worker: "w", SizeIdx: -1, T0: 0, T1: 4, Next: 0},
-		{PlanSum: 1, Worker: "w", T0: 4, T1: 4, Next: 4},
-		{PlanSum: 1, Worker: "w", T0: -1, T1: 4, Next: 0},
-		{PlanSum: 1, Worker: "w", T0: 0, T1: 4, Next: 5},
-		{PlanSum: 1, Worker: "w", T0: 2, T1: 4, Next: 1},
-		{PlanSum: 1, Worker: "w", T0: 0, T1: 4, Next: 0, Beat: -1},
-	}
-	for i, bad := range badLeases {
-		buf.Reset()
-		if err := EncodeLease(&buf, &bad); err != nil {
-			t.Fatal(err)
-		}
-		var de *DecodeError
-		if _, err := DecodeLease(bytes.NewReader(buf.Bytes())); !errors.As(err, &de) {
-			t.Errorf("bad lease %d: want *DecodeError, got %v", i, err)
-		}
-	}
-
 	c := &Completion{PlanSum: 7, Worker: "w", Block: Block{SizeIdx: 0, T0: 4, T1: 8},
 		Stats: SizeStats{N: 5, Trials: 4}}
-	buf.Reset()
 	if err := EncodeCompletion(&buf, c); err != nil {
 		t.Fatal(err)
 	}
@@ -565,36 +533,6 @@ func TestLeasedStoreFaultSurfacesWorkerError(t *testing.T) {
 	}
 }
 
-// The lease-scan progress snapshot must track coverage from empty through
-// complete without joining the run, and count live claims.
-func TestLeaseProgressSnapshot(t *testing.T) {
-	spec := cycleSpec(11, []int{6, 9}, 8, 1)
-	plan := mustPlanOf(spec)
-	st := NewMemStore()
-	p, err := LeaseProgress(st, "leaserun", plan)
-	if err != nil {
-		t.Fatalf("LeaseProgress on empty store: %v", err)
-	}
-	if p.Covered() != 0 || p.Total() != 16 || p.Complete() || p.Workers != 0 {
-		t.Fatalf("empty-store progress = %+v", p)
-	}
-	if _, err := RunLeased(context.Background(), spec, st, LeaseOptions{Worker: "solo", GrainsPerSize: 4}); err != nil {
-		t.Fatalf("RunLeased: %v", err)
-	}
-	p, err = LeaseProgress(st, "leaserun", plan)
-	if err != nil {
-		t.Fatalf("LeaseProgress: %v", err)
-	}
-	if !p.Complete() || p.Covered() != 16 {
-		t.Fatalf("post-run progress = %+v, want complete 16/16", p)
-	}
-	for i, want := range []int{6, 9} {
-		if p.Sizes[i].N != want || p.Sizes[i].Done != 8 || p.Sizes[i].Total != 8 {
-			t.Fatalf("size %d progress = %+v", i, p.Sizes[i])
-		}
-	}
-}
-
 // One predicate decides which store faults the lease loop backs off on;
 // pin its verdicts for every error class a DirStore or MemStore returns.
 func TestIsRetryableClassification(t *testing.T) {
@@ -608,7 +546,7 @@ func TestIsRetryableClassification(t *testing.T) {
 		{"deadline", fmt.Errorf("scan: %w", context.DeadlineExceeded), false},
 		{"vanished root", fmt.Errorf("sweep: store put: %w", fs.ErrNotExist), false},
 		{"read-only root", fmt.Errorf("sweep: store put: %w", fs.ErrPermission), false},
-		{"corrupt record", &DecodeError{Format: FormatLease, Reason: "garbage"}, false},
+		{"corrupt record", &DecodeError{Format: FormatCompletion, Reason: "garbage"}, false},
 		{"unclassified media fault", errors.New("crashed mid-write"), true},
 	}
 	for _, tc := range cases {
@@ -621,8 +559,8 @@ func TestIsRetryableClassification(t *testing.T) {
 }
 
 // A scan fault that is final (vanished root) must kill the executor on
-// its first occurrence instead of burning the whole retry budget; only
-// transient faults are worth the backed-off rescans.
+// its first occurrence instead of burning the retry budget; only transient
+// faults are worth the backed-off rescans.
 func TestLeaseScanFinalFaultFailsFast(t *testing.T) {
 	st := NewMemStore()
 	spec := cycleSpec(3, []int{8}, 4, 1)
@@ -632,7 +570,7 @@ func TestLeaseScanFinalFaultFailsFast(t *testing.T) {
 		return fmt.Errorf("sweep: store list: %w", fs.ErrNotExist)
 	}}
 	_, err := RunLeased(context.Background(), spec, fs1, LeaseOptions{
-		Worker: "w", StoreRetries: 5, Poll: 1,
+		Worker: "w", Poll: 1,
 	})
 	if err == nil || !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("RunLeased over vanished store = %v, want fs.ErrNotExist", err)
@@ -655,4 +593,38 @@ func (s *faultingStore) List(prefix string) ([]string, error) {
 		}
 	}
 	return s.Store.List(prefix)
+}
+
+// An executor must not count as done a record the merge skips. Here a
+// grain's record carries the right plan, range, weight and trial count but
+// the aggregate of the other size's n: CollectLeased rejects it, so the
+// executor must re-execute the grain and overwrite the record, or the run
+// would never collect.
+func TestLeasedReexecutesWrongSizeRecord(t *testing.T) {
+	spec := cycleSpec(9, []int{8, 6}, 8, 1)
+	want, err := Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := mustPlanOf(spec)
+	st := NewMemStore()
+	bad := &Completion{PlanSum: planSum(plan), Worker: "forger",
+		Block: Block{SizeIdx: 0, T0: 0, T1: 2}, Stats: SizeStats{N: 6, Trials: 2}}
+	var buf bytes.Buffer
+	if err := EncodeCompletion(&buf, bad); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(completionKey("leaserun", bad.Block), buf.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunLeased(context.Background(), spec, st, LeaseOptions{Worker: "w", GrainsPerSize: 4}); err != nil {
+		t.Fatalf("RunLeased: %v", err)
+	}
+	got, err := CollectLeased(st, "leaserun", plan)
+	if err != nil {
+		t.Fatalf("CollectLeased: %v", err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Errorf("aggregates differ after a wrong-size record\nwant: %+v\ngot:  %+v", want, got)
+	}
 }

@@ -39,17 +39,7 @@ func TestCheckpointFullRunMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := mustPlanOf(spec)
-	p, err := LeaseProgress(reopened, "leaserun", plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range p.Sizes {
-		if s.Done != 8 || s.Total != 8 {
-			t.Errorf("size %d progress %+v, want 8 of 8 trials covered", i, s)
-		}
-	}
-	got, err := CollectLeased(reopened, "leaserun", plan)
+	got, err := CollectLeased(reopened, "leaserun", mustPlanOf(spec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,12 +96,12 @@ func TestCheckpointResumeIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p, err := LeaseProgress(st2, "leaserun", plan)
-			if err != nil {
-				t.Fatal(err)
+			var inc *IncompleteError
+			if _, err := CollectLeased(st2, "leaserun", plan); !errors.As(err, &inc) {
+				t.Fatalf("collect after the kill = %v, want *IncompleteError", err)
 			}
-			if p.Covered() == 0 || p.Complete() {
-				t.Fatalf("progress after the kill = %d of %d trials, want partial coverage", p.Covered(), p.Total())
+			if names, err := st2.List("leaserun/done/"); err != nil || len(names) == 0 {
+				t.Fatalf("store after the kill holds completions %v (%v), want partial coverage", names, err)
 			}
 			if _, err := RunLeased(context.Background(), tc.spec, st2, LeaseOptions{Worker: "rescuer", GrainsPerSize: 6}); err != nil {
 				t.Fatalf("resume: %v", err)
@@ -127,22 +117,15 @@ func TestCheckpointResumeIdentical(t *testing.T) {
 	}
 }
 
-// TestLoadCheckpointMissing: a store directory that holds no run yet reads
-// as zero coverage, not an error, so executors start fresh; collecting it
-// names the whole trial space as missing.
+// TestLoadCheckpointMissing: a store directory that holds no run yet
+// collects to a typed *IncompleteError naming the whole trial space as
+// missing, not to a store error, so executors start fresh.
 func TestLoadCheckpointMissing(t *testing.T) {
 	spec := cycleSpec(7, []int{10}, 4, 1)
 	plan := mustPlanOf(spec)
 	st, err := NewDirStore(filepath.Join(t.TempDir(), "absent"))
 	if err != nil {
 		t.Fatal(err)
-	}
-	p, err := LeaseProgress(st, "leaserun", plan)
-	if err != nil {
-		t.Fatalf("progress of an absent run: %v", err)
-	}
-	if p.Covered() != 0 || p.Total() != 4 || p.Workers != 0 {
-		t.Errorf("absent-run progress = %+v, want 0 of 4 trials and no workers", p)
 	}
 	var inc *IncompleteError
 	if _, err := CollectLeased(st, "leaserun", plan); !errors.As(err, &inc) {

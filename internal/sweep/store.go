@@ -1,8 +1,8 @@
 package sweep
 
-// This file abstracts the lease protocol's medium: every plan, lease and
-// completion record the engine persists goes through a small Store
-// interface instead of bare *os.File paths. Two implementations
+// This file abstracts the lease protocol's medium: every plan, claim
+// marker and completion record the engine persists goes through a small
+// Store interface instead of bare *os.File paths. Two implementations
 // ship: DirStore, the local-directory store every CLI run uses (atomic
 // temp+rename writes, so a kill mid-Put never leaves a torn object), and
 // MemStore, an in-memory store whose fault hooks let the chaos suite
@@ -13,7 +13,7 @@ package sweep
 // of them:
 //
 //	<run>/plan            – the run's plan identity + grain schedule
-//	<run>/lease/<worker>  – one mutable claim record per executor
+//	<run>/claim/<s>-<t0>  – advisory per-grain claim markers (a worker id)
 //	<run>/done/<s>-<t0>   – immutable per-grain completion records
 //
 // Writers may race: Put is last-write-wins, and the lease protocol is
@@ -123,17 +123,30 @@ func (s *DirStore) Get(name string) ([]byte, error) {
 	return os.ReadFile(s.path(name))
 }
 
-// List walks the root and returns every object name with the prefix, in
-// ascending order.
+// List returns every object name with the prefix, in ascending order. It
+// walks only the directory the prefix names up to its last '/', so other
+// runs' objects cost nothing and an unreadable sibling directory (say
+// lost+found on a mount root) cannot fail the listing.
 func (s *DirStore) List(prefix string) ([]string, error) {
+	start := s.root
+	if i := strings.LastIndex(prefix, "/"); i >= 0 {
+		if validStoreName(prefix[:i]) != nil {
+			return nil, nil // no valid name lies under an invalid directory
+		}
+		start = s.path(prefix[:i])
+	}
 	var names []string
-	err := filepath.WalkDir(s.root, func(path string, d fs.DirEntry, err error) error {
+	err := filepath.WalkDir(start, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
-			// A concurrently deleted entry is not an error for a scan —
-			// but the ROOT vanishing is a store fault, not an empty store:
-			// a lease executor must die visibly rather than conclude no
-			// work was ever done and replan the world.
-			if os.IsNotExist(err) && path != s.root {
+			// A concurrently deleted entry, or a prefix directory nothing
+			// was written to yet, lists nothing — but the ROOT vanishing is
+			// a store fault, not an empty store: a lease executor must die
+			// visibly rather than conclude no work was ever done and replan
+			// the world.
+			if os.IsNotExist(err) {
+				if _, rerr := os.Stat(s.root); rerr != nil {
+					return rerr
+				}
 				return nil
 			}
 			return err

@@ -33,11 +33,11 @@ func testStoreContract(t *testing.T, st Store) {
 		t.Fatalf("Delete missing: %v", err)
 	}
 	puts := map[string]string{
-		"run/plan":        "the plan",
-		"run/done/0-0":    "first",
-		"run/done/0-8":    "second",
-		"run/lease/alice": "claim",
-		"other/plan":      "foreign",
+		"run/plan":      "the plan",
+		"run/done/0-0":  "first",
+		"run/done/0-8":  "second",
+		"run/claim/0-0": "alice",
+		"other/plan":    "foreign",
 	}
 	for name, data := range puts {
 		if err := st.Put(name, []byte(data)); err != nil {
@@ -68,13 +68,13 @@ func testStoreContract(t *testing.T, st Store) {
 	if err != nil {
 		t.Fatalf("List run/: %v", err)
 	}
-	if want := []string{"run/done/0-0", "run/done/0-8", "run/lease/alice", "run/plan"}; !reflect.DeepEqual(all, want) {
+	if want := []string{"run/claim/0-0", "run/done/0-0", "run/done/0-8", "run/plan"}; !reflect.DeepEqual(all, want) {
 		t.Fatalf("List run/ = %v, want %v", all, want)
 	}
-	if err := st.Delete("run/lease/alice"); err != nil {
+	if err := st.Delete("run/claim/0-0"); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
-	if _, err := st.Get("run/lease/alice"); !errors.Is(err, fs.ErrNotExist) {
+	if _, err := st.Get("run/claim/0-0"); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("Get deleted: want fs.ErrNotExist, got %v", err)
 	}
 	// The name grammar is enforced on every entry point.
@@ -207,5 +207,38 @@ func TestDirStoreListSkipsTempFiles(t *testing.T) {
 	}
 	if want := []string{"run/done/0-0"}; !reflect.DeepEqual(names, want) {
 		t.Fatalf("List = %v, want %v", names, want)
+	}
+}
+
+// DirStore.List walks only the prefix's directory: an unreadable sibling
+// directory (lost+found on a mount root, say) must not fail the listing of
+// another prefix, and a prefix directory nothing was written to yet lists
+// nothing.
+func TestDirStoreListIgnoresUnreadableSibling(t *testing.T) {
+	if os.Geteuid() == 0 {
+		t.Skip("running as root: directory permissions are not enforced")
+	}
+	root := filepath.Join(t.TempDir(), "store")
+	st, err := NewDirStore(root)
+	if err != nil {
+		t.Fatalf("NewDirStore: %v", err)
+	}
+	if err := st.Put("run/done/0-0", []byte("x")); err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+	locked := filepath.Join(root, "lost+found")
+	if err := os.Mkdir(locked, 0o000); err != nil {
+		t.Fatalf("mkdir: %v", err)
+	}
+	t.Cleanup(func() { os.Chmod(locked, 0o755) })
+	names, err := st.List("run/done/")
+	if err != nil {
+		t.Fatalf("List beside an unreadable directory: %v", err)
+	}
+	if want := []string{"run/done/0-0"}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("List = %v, want %v", names, want)
+	}
+	if names, err := st.List("run/claim/"); err != nil || len(names) != 0 {
+		t.Fatalf("List of an unwritten prefix = %v, %v; want nothing", names, err)
 	}
 }

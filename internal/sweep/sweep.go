@@ -21,12 +21,13 @@
 //     GOMAXPROCS) and fold into O(sizes)-memory SizeStats — integer totals,
 //     extremal-trial summaries, pooled radius histograms — never into
 //     per-trial slices.
-//   - DISTRIBUTE (lease.go, store.go, codec.go): work-stealing grain leases
-//     over a Store. Any number of executors, in any number of processes,
-//     cooperate on one plan; each grain's aggregate is published as an
-//     immutable completion record, so a killed executor resumes by simply
-//     running again, and CollectLeased folds the records to the bytes a
-//     single process produces.
+//   - DISTRIBUTE (lease.go, store.go, codec.go): grain claims over a
+//     Store. Any number of executors, in any number of processes,
+//     cooperate on one plan by claiming free grains one at a time and
+//     re-executing grains a stalled peer left; each grain's aggregate is
+//     published as an immutable completion record, so a killed executor
+//     resumes by simply running again, and CollectLeased folds the records
+//     to the bytes a single process produces.
 //
 // Determinism is the package contract: each (size, trial) derives its own
 // rng seed from the sweep seed and its coordinates alone, and all folds
