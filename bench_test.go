@@ -364,8 +364,8 @@ func BenchmarkViewEngineMIS(b *testing.B) {
 	}
 }
 
-// BenchmarkMessageEngineGather measures the goroutine-per-node message
-// engine running the gather adapter (the round-based formulation).
+// BenchmarkMessageEngineGather measures the round-loop message engine
+// running the gather adapter (the round-based formulation).
 func BenchmarkMessageEngineGather(b *testing.B) {
 	const n = 256
 	c := graph.MustCycle(n)

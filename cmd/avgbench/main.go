@@ -16,7 +16,6 @@
 //	avgbench -e E6 -nokernels       # keep the atlas, skip the flat decision kernels
 //	avgbench -e E11 -backend implicit    # closed-form ball synthesis: O(workers) memory at n=10^7
 //	avgbench -e E6 -backend builder      # force the ball-builder path (perf bisection); tables are byte-identical across backends
-//	avgbench -e E2 -streamids            # streaming Feistel identifier draws (a different, backend-invariant family)
 //	avgbench -e E10 -sizes 13,14 -quotient   # symmetry-quotient enumeration: bit-identical tables, n!/2n of the work
 //	avgbench -e E12                      # quotient vs full n! fold, diffed field by field
 //	avgbench -e E6 -cpuprofile cpu.pb.gz -memprofile mem.pb.gz
@@ -74,7 +73,6 @@ func run(args []string) error {
 	list := fs.Bool("list", false, "list experiments and exit")
 	noKernels := fs.Bool("nokernels", false, "disable the flat decision kernels over the atlas (identical tables, view-path timing)")
 	backendFlag := fs.String("backend", "", "sweep ball-sourcing backend: atlas, builder, or implicit (empty = auto; identical tables across backends)")
-	streamIDs := fs.Bool("streamids", false, "draw identifiers from the streaming Feistel permutation family instead of the buffered shuffle (different, backend-invariant tables)")
 	quotient := fs.Bool("quotient", false, "enumerate exhaustive sweeps over canonical orbit representatives only (symmetric families; bit-identical tables, n!/|G| of the work, lifts E10's size cap to 14)")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the runs to this file")
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile to this file after the runs")
@@ -95,6 +93,11 @@ func run(args []string) error {
 	if *asCSV && *asJSON {
 		return fmt.Errorf("-csv and -json are mutually exclusive")
 	}
+	// A negative count would otherwise run silently as the default (and a
+	// negative -trials would still enter the lease run key).
+	if *trials < 0 || *workers < 0 || *grainsFlag < 0 {
+		return fmt.Errorf("-trials, -workers and -grains take 0 (the default) or a positive count")
+	}
 
 	// Backend names fail fast, before any sweep starts, with the typed
 	// error.
@@ -104,8 +107,7 @@ func run(args []string) error {
 	}
 
 	cfg := experiments.Config{Seed: *seed, Trials: *trials, Workers: *workers,
-		NoKernels: *noKernels, Backend: string(backend),
-		StreamIDs: *streamIDs, Quotient: *quotient}
+		NoKernels: *noKernels, Backend: string(backend), Quotient: *quotient}
 	if *sizesFlag != "" {
 		for _, part := range strings.Split(*sizesFlag, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(part))

@@ -49,6 +49,18 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-csv", "-json"}); err == nil {
 		t.Error("-csv together with -json accepted")
 	}
+	// Negative counts must fail, not run as the default: a negative
+	// -trials would otherwise also enter the lease run key.
+	dir := t.TempDir()
+	for _, args := range [][]string{
+		{"-e", "E3", "-sizes", "16", "-trials", "-5"},
+		{"-e", "E3", "-sizes", "16", "-workers", "-1"},
+		{"-e", "E3", "-sizes", "16", "-store", dir, "-lease", "-grains", "-1"},
+	} {
+		if err := run(args); err == nil {
+			t.Errorf("%v accepted", args)
+		}
+	}
 }
 
 // TestRunUnknownIDFailsFastWithMenu: an unknown -e must fail before any

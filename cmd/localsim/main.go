@@ -48,6 +48,10 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// Checked before dispatch: native message algorithms ignore -engine.
+	if *engine != "view" && *engine != "message" {
+		return fmt.Errorf("unknown engine %q", *engine)
+	}
 
 	c, err := graph.NewCycle(*n)
 	if err != nil {
@@ -70,13 +74,10 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		switch *engine {
-		case "view":
+		if *engine == "view" {
 			res, err = local.RunView(c, a, alg)
-		case "message":
+		} else {
 			res, err = local.RunMessage(c, a, local.NewGather(alg))
-		default:
-			return fmt.Errorf("unknown engine %q", *engine)
 		}
 	}
 	if err != nil {

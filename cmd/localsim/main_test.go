@@ -47,7 +47,10 @@ func TestRunErrors(t *testing.T) {
 		"badAlg":    {"-alg", "nope"},
 		"badIDs":    {"-ids", "nope"},
 		"badEngine": {"-engine", "nope"},
-		"badN":      {"-n", "2"},
+		// Native message algorithms skip the engine dispatch; the value
+		// must still be checked.
+		"badEngineNative": {"-alg", "changroberts", "-engine", "nope"},
+		"badN":            {"-n", "2"},
 	}
 	for name, args := range cases {
 		if err := run(append(args, "-q")); err == nil {

@@ -17,8 +17,8 @@
 //	sweepmerge -store run/ -json               # metadata + table, like avgbench -json
 //
 // Incomplete runs fail with exit 2 (start or finish executors, then merge
-// again); overlapping or corrupt records fail with exit 3 naming the
-// offending record.
+// again); overlapping or corrupt records, and a manifest outside its run's
+// directory, fail with exit 3 naming the offending record.
 package main
 
 import (
@@ -128,6 +128,16 @@ func mergeStore(dir, sel string) (experiments.Experiment, *experiments.Table, er
 	e, err := experiments.Get(r.Manifest.Experiment)
 	if err != nil {
 		return none, nil, err
+	}
+	// The merge reads the records under the key the manifest's config
+	// hashes to. A manifest in another run's directory would report that
+	// key's absent records as an incomplete run forever; it is corrupt.
+	if want := experiments.LeaseRunPrefix(e, r.Manifest.Config); want != r.Prefix {
+		return none, nil, &sweep.DecodeError{
+			Format: "experiments.leasemanifest",
+			Reason: fmt.Sprintf("run %s holds the manifest of run %s", r.Key(), strings.TrimPrefix(want, "lease/")),
+			Key:    r.Prefix + "/manifest",
+		}
 	}
 	tab, err := experiments.MergeLeased(e, r.Manifest.Config, st)
 	if err != nil {

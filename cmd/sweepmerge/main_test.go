@@ -2,11 +2,14 @@ package main
 
 import (
 	"context"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/cli"
 	"repro/internal/experiments"
 	"repro/internal/sweep"
 )
@@ -46,7 +49,7 @@ func TestMergeRejectsMissingAndBadInput(t *testing.T) {
 	if err := run([]string{"-store", dir}); err == nil || !strings.Contains(err.Error(), "no leased runs") {
 		t.Errorf("empty store: err = %v, want no leased runs", err)
 	}
-	leaseE6(t, dir, 1, sweep.Shard{})
+	cfg := leaseE6(t, dir, 1, sweep.Shard{})
 	if err := run([]string{"-store", dir, "-run", "E2"}); err == nil {
 		t.Error("-run naming an absent experiment accepted")
 	}
@@ -59,6 +62,31 @@ func TestMergeRejectsMissingAndBadInput(t *testing.T) {
 	}
 	if err := run([]string{"-store", dir}); err != nil {
 		t.Errorf("torn foreign manifest should be skipped: %v", err)
+	}
+
+	// A run directory whose manifest keys another run is corrupt (exit 3),
+	// not an incomplete run of the key its config hashes to (exit 2).
+	e, err := experiments.Get("E6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := strings.TrimPrefix(experiments.LeaseRunPrefix(e, cfg), "lease/")
+	const moved = "e6-0000000000000000"
+	if err := os.Rename(filepath.Join(dir, "lease", key), filepath.Join(dir, "lease", moved)); err != nil {
+		t.Fatal(err)
+	}
+	err = run([]string{"-store", dir})
+	var dec *sweep.DecodeError
+	if !errors.As(err, &dec) || dec.Key != "lease/"+moved+"/manifest" {
+		t.Fatalf("manifest under %s: err = %v, want a *sweep.DecodeError keyed at its manifest", moved, err)
+	}
+	for _, k := range []string{key, moved} {
+		if !strings.Contains(err.Error(), k) {
+			t.Errorf("error %q does not name run %s", err, k)
+		}
+	}
+	if code := cli.Report(io.Discard, "sweepmerge", err); code != cli.ExitCorrupt {
+		t.Errorf("exit code %d, want %d", code, cli.ExitCorrupt)
 	}
 }
 

@@ -106,9 +106,9 @@ func TestIntegrationMatrix(t *testing.T) {
 	}
 }
 
-// TestIntegrationEngineTriangle runs one algorithm through all three
-// engines (view, concurrent message via gather, sequential message) and
-// demands agreement.
+// TestIntegrationEngineTriangle runs one algorithm through both engines
+// (view, and message via gather) and demands agreement: the same outputs,
+// and every round one past the radius except at radius 0.
 func TestIntegrationEngineTriangle(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	g := graph.MustCycle(15)
@@ -119,27 +119,20 @@ func TestIntegrationEngineTriangle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conc, err := local.RunMessage(g, a, local.NewGather(alg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := local.RunMessageSeq(g, a, local.NewGather(alg))
+	msg, err := local.RunMessage(g, a, local.NewGather(alg))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for v := 0; v < g.N(); v++ {
-		if view.Outputs[v] != conc.Outputs[v] || conc.Outputs[v] != seq.Outputs[v] {
+		if view.Outputs[v] != msg.Outputs[v] {
 			t.Errorf("vertex %d: outputs diverge across engines", v)
-		}
-		if conc.Radii[v] != seq.Radii[v] {
-			t.Errorf("vertex %d: message engines disagree on rounds", v)
 		}
 		want := view.Radii[v]
 		if want > 0 {
 			want++
 		}
-		if conc.Radii[v] != want {
-			t.Errorf("vertex %d: gather offset broken (rounds %d, radius %d)", v, conc.Radii[v], view.Radii[v])
+		if msg.Radii[v] != want {
+			t.Errorf("vertex %d: gather offset broken (rounds %d, radius %d)", v, msg.Radii[v], view.Radii[v])
 		}
 	}
 }

@@ -122,19 +122,14 @@ func freeColour(left, right int) int {
 // on average).
 //
 // IDBits is the identifier bit budget the schedule is derived from; every
-// identifier in the execution must fit in it. Use NewColeVishkin to bind it
-// to an instance.
+// identifier in the execution must fit in it. Use ForMaxID to bind it to
+// an instance.
 type ColeVishkin struct {
 	// IDBits is the number of bits identifiers are promised to fit in.
 	IDBits int
 }
 
 var _ local.ViewAlgorithm = ColeVishkin{}
-
-// NewColeVishkin returns a ColeVishkin schedule for identifiers < 2^bits.
-func NewColeVishkin(bitBudget int) ColeVishkin {
-	return ColeVishkin{IDBits: bitBudget}
-}
 
 // ForMaxID returns the schedule for instances whose largest identifier is
 // maxID (the standard "IDs fit in ceil(log2 n) bits" assumption).

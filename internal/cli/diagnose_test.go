@@ -55,10 +55,10 @@ func TestReportClassifiesAndNamesOffenders(t *testing.T) {
 			name: "quotient-unsupported is configuration and lists qualifying families",
 			err: fmt.Errorf("E10: %w", &sweep.QuotientUnsupportedError{
 				Graph: "*graph.Adj", N: 12,
-				Qualifying: []string{"cycle (graph.Cycle)", "torus (graph.Torus)"}}),
+				Qualifying: []string{"cycle (graph.Cycle)", "complete graph (graph.Complete)"}}),
 			wantCode: ExitFailure,
 			wantSubs: []string{"configuration", "*graph.Adj", "n=12",
-				"cycle (graph.Cycle)", "torus (graph.Torus)", "drop -quotient"},
+				"cycle (graph.Cycle)", "complete graph (graph.Complete)", "drop -quotient"},
 		},
 		{
 			name: "spec conflict is configuration and names both fields",

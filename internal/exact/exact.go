@@ -29,8 +29,8 @@ import (
 )
 
 // MaxEnumerationN bounds exact enumeration. For graph families declaring
-// their automorphism group (graph.Automorphisms: cycle, torus, complete
-// graph, complete b-ary tree) Distribution enumerates only canonical orbit
+// their automorphism group (graph.Automorphisms: the cycle and the
+// complete graph) Distribution enumerates only canonical orbit
 // representatives — n!/|G| executions instead of n!, a 2n× reduction on
 // the cycle — which lifts the ceiling to 14: 14!/28 ≈ 3.1e9 representative
 // executions, feasible under parallel enumeration on a multicore machine.

@@ -234,9 +234,7 @@ func TestDistributionQuotientBitIdentical(t *testing.T) {
 	alg := func(int, ids.Assignment) local.ViewAlgorithm { return largestid.Pruning{} }
 	for _, g := range []graph.Graph{
 		graph.MustCycle(7),
-		graph.MustTorus(3, 3),
 		graph.MustCompleteGraph(6),
-		graph.MustImplicitTree(2, 2),
 	} {
 		quot, err := Distribution(context.Background(), g, alg, Options{Workers: 4})
 		if err != nil {

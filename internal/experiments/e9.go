@@ -113,7 +113,7 @@ func e9Sweeps(cfg Config) (names []string, specs []sweep.Spec) {
 		}},
 		{"tree", sizes, func(n int, rng *rand.Rand) (graph.Graph, error) { return graph.NewRandomTree(n, rng) }},
 		// One clique sweep: the degenerate diameter-1 extreme.
-		{"complete", []int{256}, func(n int, _ *rand.Rand) (graph.Graph, error) { return graph.NewComplete(n) }},
+		{"complete", []int{256}, func(n int, _ *rand.Rand) (graph.Graph, error) { return graph.NewCompleteGraph(n) }},
 	}
 	for _, f := range families {
 		names = append(names, f.name)

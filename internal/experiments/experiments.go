@@ -50,13 +50,6 @@ type Config struct {
 	// exact.MaxFullEnumerationN to exact.MaxEnumerationN. Sampled sweeps
 	// are unaffected (avgbench -quotient).
 	Quotient bool `json:"quotient,omitempty"`
-	// StreamIDs switches the sampled identifier draws to the streaming
-	// permutation family (ids.StreamPerm). Unlike the perf toggles it
-	// CHANGES result bytes — the sampled permutations are a different
-	// seeded family — so it is part of the table's identity, like Seed.
-	// Sweeps without sampled draws (fixed Assign sources, exhaustive
-	// enumeration) are unaffected; see expandSweeps.
-	StreamIDs bool `json:"streamIDs,omitempty"`
 }
 
 // Experiment is one reproducible claim of the paper, in one shape: Sweeps
@@ -219,12 +212,11 @@ func cycleSpec(cfg Config, defSizes []int, defTrials int) sweep.Spec {
 
 // expandSweeps is how every runner obtains an experiment's specs: it calls
 // Sweeps and then applies the config's cross-cutting knobs — backend
-// selection, streaming identifier draws and quotient enumeration —
-// uniformly, so every experiment honours -backend/-streamids/-quotient
-// without forwarding them one by one. A spec that pinned its own backend
-// (E11 defaulting to implicit) keeps it. StreamIDs only lands where sampled
-// draws actually happen, and Quotient only on exhaustive sweeps: elsewhere
-// each flag is a no-op rather than a conflict.
+// selection and quotient enumeration — uniformly, so every experiment
+// honours -backend/-quotient without forwarding them one by one. A spec
+// that pinned its own backend (E11 defaulting to implicit) keeps it.
+// Quotient only lands on exhaustive sweeps: elsewhere the flag is a no-op
+// rather than a conflict.
 func expandSweeps(e Experiment, cfg Config) ([]sweep.Spec, error) {
 	specs, err := e.Sweeps(cfg)
 	if err != nil {
@@ -234,9 +226,6 @@ func expandSweeps(e Experiment, cfg Config) ([]sweep.Spec, error) {
 		spec := &specs[k]
 		if spec.Backend == sweep.BackendAuto {
 			spec.Backend = sweep.Backend(cfg.Backend)
-		}
-		if cfg.StreamIDs && spec.Assign == nil && !spec.Exhaustive {
-			spec.StreamIDs = true
 		}
 		if cfg.Quotient && spec.Exhaustive {
 			spec.Quotient = true

@@ -280,12 +280,10 @@ func TestTableRenderAndCSV(t *testing.T) {
 }
 
 // TestConfigKnobsReachEveryExperiment pins the expandSweeps contract:
-// -backend and -streamids act uniformly on every experiment's sweeps, and
-// leave the work an experiment does in Tabulate alone. The implicit
-// backend must fail typed on E9's non-implicit families, must leave bytes
-// alone where it is servable, and -streamids must be a no-op (not a
-// conflict) on sweeps without sampled draws — E2's fixed worst
-// permutation, E10's exhaustive enumeration.
+// -backend acts uniformly on every experiment's sweeps, and leaves the
+// work an experiment does in Tabulate alone. The implicit backend must
+// fail typed on E9's non-implicit families, and a servable backend must
+// leave bytes alone.
 func TestConfigKnobsReachEveryExperiment(t *testing.T) {
 	ctx := context.Background()
 
@@ -317,21 +315,6 @@ func TestConfigKnobsReachEveryExperiment(t *testing.T) {
 		}
 		if viaBuilder.Render() != goldenTable(t, id) {
 			t.Errorf("%s: builder backend changed the bytes", id)
-		}
-	}
-
-	// StreamIDs applies only to sampled draws: E2 (sweep 0 fixed Assign)
-	// and E10 (exhaustive + sampled comparison) must run, and E2's
-	// sampled column must change while the exact column stays pinned.
-	for _, id := range []string{"E2", "E10"} {
-		e, err := Get(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := smallCfg()
-		cfg.StreamIDs = true
-		if _, err := e.Run(ctx, cfg); err != nil {
-			t.Fatalf("%s with StreamIDs: %v", id, err)
 		}
 	}
 }

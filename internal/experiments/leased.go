@@ -35,8 +35,7 @@ import (
 // normalizedConfig strips the fields that cannot change result bytes —
 // worker count, the kernel toggle and the ball-sourcing backend — so
 // executors launched with different parallelism or backends still
-// cooperate on one run. StreamIDs stays: it selects a different
-// permutation family and thus different bytes.
+// cooperate on one run.
 func normalizedConfig(cfg Config) Config {
 	cfg.Workers = 0
 	cfg.NoKernels = false

@@ -158,10 +158,6 @@ func (ab *AtlasBall) FrontierStartAt(r int) int {
 // radius.
 func (ab *AtlasBall) OwnDeg(i int) int { return int(ab.ownDeg[i]) }
 
-// OwnDegs exposes the whole own-degree array (read-only) for hot loops
-// that check a frontier range without per-element method calls.
-func (ab *AtlasBall) OwnDegs() []int32 { return ab.ownDeg }
-
 // CompleteAt reports whether the radius-r view is complete: every vertex
 // visible at radius r shows all of its edges inside the ball. Radii past
 // MaxRadius are only served when the ball is Complete, where the frontier
@@ -202,13 +198,10 @@ func (ar *AtlasRows) OwnRow(i int) []int {
 
 // FullRow returns local vertex i's complete adjacency row (every
 // neighbour, mapped to local indices), in port order. Valid for interior
-// vertices: i < InteriorEnd().
+// vertices only: those before the ball's frontier layer.
 func (ar *AtlasRows) FullRow(i int) []int {
 	return ar.fullData[ar.fullOff[i]:ar.fullOff[i+1]]
 }
-
-// InteriorEnd returns the end of the prefix whose full rows exist.
-func (ar *AtlasRows) InteriorEnd() int { return ar.interiorEnd }
 
 func (ar *AtlasRows) memSize() int64 {
 	return int64(len(ar.ownData)+len(ar.fullData))*8 +

@@ -28,10 +28,6 @@ func atlasTestFamilies(t *testing.T) map[string]Graph {
 	if err != nil {
 		t.Fatal(err)
 	}
-	complete, err := NewComplete(9)
-	if err != nil {
-		t.Fatal(err)
-	}
 	star, err := NewStar(12)
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +39,7 @@ func atlasTestFamilies(t *testing.T) map[string]Graph {
 		"grid":     grid,
 		"gnp":      gnp,
 		"gnpDense": dense,
-		"complete": complete,
+		"complete": MustCompleteGraph(9),
 		"star":     star,
 		"single":   MustPath(1),
 	}

@@ -36,7 +36,7 @@ func TestDiameterKnown(t *testing.T) {
 		{"C100", MustCycle(100), 50},
 		{"P10", MustPath(10), 9},
 		{"P1", MustPath(1), 0},
-		{"K5", mustComplete(t, 5), 1},
+		{"K5", MustCompleteGraph(5), 1},
 		{"star6", mustStar(t, 6), 2},
 	}
 	for _, tt := range tests {

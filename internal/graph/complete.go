@@ -4,10 +4,10 @@ import "fmt"
 
 // Complete is the complete graph K_n as a zero-storage value type: every
 // pair of vertices is adjacent, vertex v's port p leads to the p-th other
-// vertex in index order. It exists for the symmetry-quotient path — K_n's
-// automorphism group is all of S_n, so its exact distribution needs exactly
-// ONE representative per size — while NewComplete (an *Adj) remains the
-// materialized form for adjacency-driven experiments.
+// vertex in index order (the port order NewAdj would give it). E9 sweeps
+// it as the diameter-1 extreme, and the symmetry-quotient path uses its
+// declaration — K_n's automorphism group is all of S_n, so its exact
+// distribution needs exactly ONE representative per size.
 type Complete struct {
 	n int
 }

@@ -26,20 +26,6 @@ func NewGrid(rows, cols int) (*Adj, error) {
 	return NewAdj(rows*cols, edges)
 }
 
-// NewComplete builds K_n.
-func NewComplete(n int) (*Adj, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("graph: complete graph needs n >= 1, got %d", n)
-	}
-	var edges [][2]int
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			edges = append(edges, [2]int{u, v})
-		}
-	}
-	return NewAdj(n, edges)
-}
-
 // NewStar builds the star K_{1,n-1} with centre 0.
 func NewStar(n int) (*Adj, error) {
 	if n < 1 {

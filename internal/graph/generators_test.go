@@ -41,10 +41,7 @@ func TestGridRejectsBadDims(t *testing.T) {
 }
 
 func TestCompleteStructure(t *testing.T) {
-	g, err := NewComplete(6)
-	if err != nil {
-		t.Fatalf("NewComplete: %v", err)
-	}
+	g := MustCompleteGraph(6)
 	for v := 0; v < 6; v++ {
 		if g.Degree(v) != 5 {
 			t.Errorf("Degree(%d) = %d, want 5", v, g.Degree(v))

@@ -14,10 +14,6 @@ func families(t *testing.T) map[string]Graph {
 	if err != nil {
 		t.Fatalf("NewGrid: %v", err)
 	}
-	complete, err := NewComplete(7)
-	if err != nil {
-		t.Fatalf("NewComplete: %v", err)
-	}
 	star, err := NewStar(9)
 	if err != nil {
 		t.Fatalf("NewStar: %v", err)
@@ -38,7 +34,7 @@ func families(t *testing.T) map[string]Graph {
 		"cycle":        MustCycle(11),
 		"path":         MustPath(8),
 		"grid":         grid,
-		"complete":     complete,
+		"complete":     MustCompleteGraph(7),
 		"star":         star,
 		"balancedTree": btree,
 		"randomTree":   rtree,
@@ -96,7 +92,7 @@ func TestEdgesKnownCounts(t *testing.T) {
 		{"C11", MustCycle(11), 11},
 		{"P8", MustPath(8), 7},
 		{"P1", MustPath(1), 0},
-		{"K7", mustComplete(t, 7), 7 * 6 / 2},
+		{"K7", MustCompleteGraph(7), 7 * 6 / 2},
 		{"star9", mustStar(t, 9), 8},
 	}
 	for _, tt := range tests {
@@ -115,7 +111,7 @@ func TestMaxDegree(t *testing.T) {
 		{"C5", MustCycle(5), 2},
 		{"P6", MustPath(6), 2},
 		{"P2", MustPath(2), 1},
-		{"K4", mustComplete(t, 4), 3},
+		{"K4", MustCompleteGraph(4), 3},
 		{"star10", mustStar(t, 10), 9},
 	}
 	for _, tt := range tests {
@@ -147,15 +143,6 @@ type loopGraph struct{}
 func (loopGraph) N() int                { return 1 }
 func (loopGraph) Degree(int) int        { return 1 }
 func (loopGraph) Neighbor(_, _ int) int { return 0 }
-
-func mustComplete(t *testing.T, n int) *Adj {
-	t.Helper()
-	g, err := NewComplete(n)
-	if err != nil {
-		t.Fatalf("NewComplete(%d): %v", n, err)
-	}
-	return g
-}
 
 func mustStar(t *testing.T, n int) *Adj {
 	t.Helper()

@@ -28,9 +28,9 @@ var (
 // Implicit is implemented by graph families whose BFS ball structure is
 // closed-form: per-centre layer membership, layer sizes and eccentricities
 // are computable directly from the family's parameters, so sweeps need
-// neither an adjacency materialisation nor a BallAtlas. Cycle, Path, Torus
-// and ImplicitTree implement it; density-driven families (GNP) cannot —
-// their layers depend on the sampled edge set, which IS the adjacency.
+// neither an adjacency materialisation nor a BallAtlas. Cycle and Path
+// implement it; density-driven families (GNP) cannot — their layers
+// depend on the sampled edge set, which IS the adjacency.
 //
 // Implementations must be immutable value types that are comparable (the
 // engine caches and compares them by value) and must describe a connected
@@ -45,7 +45,7 @@ var (
 // use a materialised BallAtlas instead.
 type Implicit interface {
 	Graph
-	// ImplicitFamily names the family for diagnostics ("cycle", "torus", ...).
+	// ImplicitFamily names the family for diagnostics ("cycle", "path").
 	ImplicitFamily() string
 	// EccentricityOf returns max_v dist(center, v).
 	EccentricityOf(center int) int
@@ -66,8 +66,6 @@ func ImplicitFamilies() []string {
 	return []string{
 		"cycle (graph.Cycle)",
 		"path (graph.Path)",
-		"torus (graph.Torus)",
-		"complete b-ary tree (graph.ImplicitTree)",
 	}
 }
 

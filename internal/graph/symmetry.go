@@ -61,8 +61,6 @@ const maxSymmetryN = 64
 func AutomorphismFamilies() []string {
 	return []string{
 		"cycle (graph.Cycle)",
-		"torus (graph.Torus)",
-		"complete b-ary tree (graph.ImplicitTree)",
 		"complete graph (graph.Complete)",
 	}
 }
@@ -81,87 +79,4 @@ func (c Cycle) Automorphisms() Symmetry {
 		ref[v] = (n - v) % n
 	}
 	return Symmetry{Generators: [][]int{rot, ref}, Order: uint64(2 * n)}
-}
-
-// Automorphisms declares the torus's translation group extended by the
-// axis flips, and by the transpose when the torus is square: order
-// rows*cols*4, doubled to rows*cols*8 for square tori.
-func (t Torus) Automorphisms() Symmetry {
-	rows, cols := t.rows, t.cols
-	n := rows * cols
-	if n > maxSymmetryN {
-		return Symmetry{}
-	}
-	perm := func(f func(r, c int) (int, int)) []int {
-		p := make([]int, n)
-		for r := 0; r < rows; r++ {
-			for c := 0; c < cols; c++ {
-				nr, nc := f(r, c)
-				p[r*cols+c] = nr*cols + nc
-			}
-		}
-		return p
-	}
-	gens := [][]int{
-		perm(func(r, c int) (int, int) { return (r + 1) % rows, c }),
-		perm(func(r, c int) (int, int) { return r, (c + 1) % cols }),
-		perm(func(r, c int) (int, int) { return (rows - r) % rows, c }),
-		perm(func(r, c int) (int, int) { return r, (cols - c) % cols }),
-	}
-	order := uint64(n) * 4
-	if rows == cols {
-		gens = append(gens, perm(func(r, c int) (int, int) { return c, r }))
-		order *= 2
-	}
-	return Symmetry{Generators: gens, Order: order}
-}
-
-// Automorphisms declares the complete b-ary tree's subtree-permutation
-// group: for every internal node, adjacent child subtrees swap (by
-// corresponding heap index), generating (b!)^#internal automorphisms. It
-// declines when the order overflows uint64 or the tree exceeds the size
-// cap.
-func (t ImplicitTree) Automorphisms() Symmetry {
-	n := t.n
-	if n > maxSymmetryN || n == 1 {
-		return Symmetry{}
-	}
-	// b! with overflow guard (b <= maxSymmetryN keeps this honest anyway).
-	bf := uint64(1)
-	for i := 2; i <= t.b; i++ {
-		bf *= uint64(i)
-	}
-	var gens [][]int
-	order := uint64(1)
-	for u := 0; u*t.b+1 < n; u++ { // every internal node
-		if order > (1<<63)/bf {
-			return Symmetry{} // (b!)^#internal overflows
-		}
-		order *= bf
-		for i := 1; i < t.b; i++ {
-			gens = append(gens, t.swapChildren(u, i, i+1))
-		}
-	}
-	return Symmetry{Generators: gens, Order: order}
-}
-
-// swapChildren builds the automorphism exchanging the subtrees rooted at
-// u's i-th and j-th children (1-based), matching vertices by identical
-// paths below the swapped roots.
-func (t ImplicitTree) swapChildren(u, i, j int) []int {
-	p := make([]int, t.n)
-	for v := range p {
-		p[v] = v
-	}
-	ci, cj := u*t.b+i, u*t.b+j
-	// Walk both subtrees level by level; heap numbering keeps each level a
-	// contiguous range of equal width under both roots.
-	li, lj, width := ci, cj, 1
-	for li < t.n {
-		for k := 0; k < width; k++ {
-			p[li+k], p[lj+k] = lj+k, li+k
-		}
-		li, lj, width = li*t.b+1, lj*t.b+1, width*t.b
-	}
-	return p
 }

@@ -50,89 +50,116 @@ func orbitOf(a Assignment, gens [][]int) []string {
 	return keys
 }
 
-// TestQuotientCycleBruteForce checks, for small cycles, that the derived
-// constraint pairs select exactly the lexicographic minimum of every
-// orbit, that Count matches (n-1)!/2, and that CanonicalUnrank and
-// NextCanonicalInto walk exactly those representatives with correct
-// full-rank step counts.
+// TestQuotientCycleBruteForce checks the cycle's dihedral group against
+// brute force at n = 3..7 (see checkQuotientBruteForce).
 func TestQuotientCycleBruteForce(t *testing.T) {
 	for n := 3; n <= 7; n++ {
-		gens := dihedralGens(n)
-		q, err := NewQuotient(n, gens, uint64(2*n), false)
+		checkQuotientBruteForce(t, n, dihedralGens(n), uint64(2*n))
+	}
+}
+
+// TestQuotientGroupsBruteForce runs the same brute-force check on groups
+// that are not dihedral: two intransitive ones (the adjacent child-subtree
+// swaps of the depth-1 ternary tree on 4 vertices and of the depth-2
+// binary tree on 7, numbered in BFS order) and a transitive one (x -> x+1
+// and x -> 2x on Z_7).
+func TestQuotientGroupsBruteForce(t *testing.T) {
+	for _, g := range []struct {
+		name  string
+		gens  [][]int
+		order uint64
+	}{
+		{"tree4", [][]int{{0, 2, 1, 3}, {0, 1, 3, 2}}, 6},
+		{"tree7", [][]int{{0, 2, 1, 5, 6, 3, 4}, {0, 1, 2, 4, 3, 5, 6}, {0, 1, 2, 3, 4, 6, 5}}, 8},
+		{"affine7", [][]int{{1, 2, 3, 4, 5, 6, 0}, {0, 2, 4, 6, 1, 3, 5}}, 21},
+	} {
+		t.Run(g.name, func(t *testing.T) {
+			checkQuotientBruteForce(t, len(g.gens[0]), g.gens, g.order)
+		})
+	}
+}
+
+// checkQuotientBruteForce checks, for the group of the given order that
+// gens generate on n points, that the derived constraint pairs select
+// exactly the lexicographic minimum of every orbit, that Count matches
+// n!/order, and that CanonicalUnrank and NextCanonicalInto walk exactly
+// those representatives with correct full-rank step counts.
+func checkQuotientBruteForce(t *testing.T, n int, gens [][]int, order uint64) {
+	t.Helper()
+	q, err := NewQuotient(n, gens, order, false)
+	if err != nil {
+		t.Fatalf("n=%d: NewQuotient: %v", n, err)
+	}
+	f, _ := Factorial(n)
+	if want := f / order; q.Count() != want {
+		t.Fatalf("n=%d: Count = %d, want %d", n, q.Count(), want)
+	}
+	// Brute-force the canonical set: a perm is its orbit's lex minimum.
+	buf := make([]int, n)
+	UnrankInto(buf, 0)
+	var canonFullRanks []uint64
+	for fr := uint64(0); ; fr++ {
+		a := Assignment(buf)
+		orbit := orbitOf(a, gens)
+		if uint64(len(orbit)) != order {
+			t.Fatalf("n=%d: orbit of %v has size %d, want %d (action not free?)", n, a, len(orbit), order)
+		}
+		key := make([]byte, n)
+		for i, v := range buf {
+			key[i] = byte(v)
+		}
+		isMin := orbit[0] == string(key)
+		if got := q.IsCanonical(a); got != isMin {
+			t.Fatalf("n=%d rank=%d: IsCanonical(%v) = %v, brute force says %v", n, fr, a, got, isMin)
+		}
+		if isMin {
+			canonFullRanks = append(canonFullRanks, fr)
+		}
+		if !NextInto(buf) {
+			break
+		}
+	}
+	if uint64(len(canonFullRanks)) != q.Count() {
+		t.Fatalf("n=%d: brute force found %d representatives, Count says %d", n, len(canonFullRanks), q.Count())
+	}
+	// CanonicalUnrank must hit the same representatives in order.
+	for cr, fr := range canonFullRanks {
+		a, err := q.CanonicalUnrank(uint64(cr))
 		if err != nil {
-			t.Fatalf("n=%d: NewQuotient: %v", n, err)
+			t.Fatalf("n=%d: CanonicalUnrank(%d): %v", n, cr, err)
 		}
-		f, _ := Factorial(n)
-		if want := f / uint64(2*n); q.Count() != want {
-			t.Fatalf("n=%d: Count = %d, want %d", n, q.Count(), want)
-		}
-		// Brute-force the canonical set: a perm is its orbit's lex minimum.
-		buf := make([]int, n)
-		UnrankInto(buf, 0)
-		var canonFullRanks []uint64
-		for fr := uint64(0); ; fr++ {
-			a := Assignment(buf)
-			orbit := orbitOf(a, gens)
-			if uint64(len(orbit)) != uint64(2*n) {
-				t.Fatalf("n=%d: orbit of %v has size %d, want %d (action not free?)", n, a, len(orbit), 2*n)
-			}
-			key := make([]byte, n)
-			for i, v := range buf {
-				key[i] = byte(v)
-			}
-			isMin := orbit[0] == string(key)
-			if got := q.IsCanonical(a); got != isMin {
-				t.Fatalf("n=%d rank=%d: IsCanonical(%v) = %v, brute force says %v", n, fr, a, got, isMin)
-			}
-			if isMin {
-				canonFullRanks = append(canonFullRanks, fr)
-			}
-			if !NextInto(buf) {
-				break
-			}
-		}
-		if uint64(len(canonFullRanks)) != q.Count() {
-			t.Fatalf("n=%d: brute force found %d representatives, Count says %d", n, len(canonFullRanks), q.Count())
-		}
-		// CanonicalUnrank must hit the same representatives in order.
-		for cr, fr := range canonFullRanks {
-			a, err := q.CanonicalUnrank(uint64(cr))
-			if err != nil {
-				t.Fatalf("n=%d: CanonicalUnrank(%d): %v", n, cr, err)
-			}
-			got, err := a.Rank()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != fr {
-				t.Fatalf("n=%d: CanonicalUnrank(%d) has full rank %d, want %d", n, cr, got, fr)
-			}
-			if r, err := q.CanonicalRank(a); err != nil || r != uint64(cr) {
-				t.Fatalf("n=%d: CanonicalRank round trip = %d, %v; want %d", n, r, err, cr)
-			}
-		}
-		// NextCanonicalInto must walk the same sequence with exact
-		// full-rank deltas.
-		if _, err := q.CanonicalUnrankInto(buf, 0); err != nil {
+		got, err := a.Rank()
+		if err != nil {
 			t.Fatal(err)
 		}
-		full := canonFullRanks[0]
-		for cr := 1; cr < len(canonFullRanks); cr++ {
-			steps, ok := q.NextCanonicalInto(buf)
-			if !ok {
-				t.Fatalf("n=%d: NextCanonicalInto ended at representative %d of %d", n, cr, len(canonFullRanks))
-			}
-			full += steps
-			if full != canonFullRanks[cr] {
-				t.Fatalf("n=%d: representative %d at full rank %d, want %d", n, cr, full, canonFullRanks[cr])
-			}
-			if !q.IsCanonical(Assignment(buf)) {
-				t.Fatalf("n=%d: NextCanonicalInto produced non-canonical %v", n, buf)
-			}
+		if got != fr {
+			t.Fatalf("n=%d: CanonicalUnrank(%d) has full rank %d, want %d", n, cr, got, fr)
 		}
-		if _, ok := q.NextCanonicalInto(buf); ok {
-			t.Fatalf("n=%d: NextCanonicalInto walked past the last representative", n)
+		if r, err := q.CanonicalRank(a); err != nil || r != uint64(cr) {
+			t.Fatalf("n=%d: CanonicalRank round trip = %d, %v; want %d", n, r, err, cr)
 		}
+	}
+	// NextCanonicalInto must walk the same sequence with exact
+	// full-rank deltas.
+	if _, err := q.CanonicalUnrankInto(buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	full := canonFullRanks[0]
+	for cr := 1; cr < len(canonFullRanks); cr++ {
+		steps, ok := q.NextCanonicalInto(buf)
+		if !ok {
+			t.Fatalf("n=%d: NextCanonicalInto ended at representative %d of %d", n, cr, len(canonFullRanks))
+		}
+		full += steps
+		if full != canonFullRanks[cr] {
+			t.Fatalf("n=%d: representative %d at full rank %d, want %d", n, cr, full, canonFullRanks[cr])
+		}
+		if !q.IsCanonical(Assignment(buf)) {
+			t.Fatalf("n=%d: NextCanonicalInto produced non-canonical %v", n, buf)
+		}
+	}
+	if _, ok := q.NextCanonicalInto(buf); ok {
+		t.Fatalf("n=%d: NextCanonicalInto walked past the last representative", n)
 	}
 }
 

@@ -7,12 +7,9 @@ package ids
 // standard format-preserving-encryption construction, and a bijection on
 // [0, n) because the Feistel network is a bijection on the full domain).
 //
-// The point of the construction is streaming identifier draws: a sweep
-// trial at n = 10^7 can hand each worker the (seed, index) coordinates and
-// synthesize any identifier on demand instead of materialising and
-// shuffling an n-entry buffer. The permutation is NOT the one
-// rand.Perm/RandomInto produces for the same seed — it is its own seeded
-// family, deterministic across workers, shards and backends.
+// The permutation is NOT the one rand.Perm/RandomInto produces for the
+// same seed — it is its own seeded family, deterministic across processes.
+// The lease loop orders an executor's grains with it.
 type StreamPerm struct {
 	n        int
 	halfBits uint
@@ -70,17 +67,4 @@ func mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
-}
-
-// StreamInto fills buf with the seeded streaming permutation of
-// [0, len(buf)) and returns it as an Assignment — the buffered counterpart
-// of evaluating NewStreamPerm(len(buf), seed).ID at every index, for
-// callers that want the whole assignment at once. The result is valid by
-// construction (a bijection), so Validate is redundant.
-func StreamInto(buf []int, seed uint64) Assignment {
-	p := NewStreamPerm(len(buf), seed)
-	for v := range buf {
-		buf[v] = p.ID(v)
-	}
-	return Assignment(buf)
 }

@@ -97,7 +97,7 @@ func TestIsKColorableKnownGraphs(t *testing.T) {
 			t.Fatalf("witness colouring improper at %v", e)
 		}
 	}
-	k4, err := graph.NewComplete(4)
+	k4, err := graph.NewAdj(4, [][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}})
 	if err != nil {
 		t.Fatal(err)
 	}

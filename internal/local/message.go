@@ -2,7 +2,6 @@ package local
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/ids"
@@ -44,10 +43,11 @@ type MessageNode interface {
 	Output() (val int, decided bool)
 }
 
-// RunMessage executes alg on g under assignment a with one goroutine per
-// node, synchronised round by round, until every node has decided or the
-// round cap (default n, see WithMaxRadius) is exceeded. Result.Radii holds
-// the round at which each node first decided.
+// RunMessage executes alg on g under assignment a in synchronous rounds,
+// one deterministic loop over the nodes per round, until every node has
+// decided or the round cap (default n, see WithMaxRadius) is exceeded.
+// Decided nodes keep relaying. Result.Radii holds the round at which each
+// node first decided.
 func RunMessage(g graph.Graph, a ids.Assignment, alg MessageAlgorithm, opts ...Option) (*Result, error) {
 	n := g.N()
 	if len(a) != n {
@@ -57,67 +57,73 @@ func RunMessage(g graph.Graph, a ids.Assignment, alg MessageAlgorithm, opts ...O
 		return nil, err
 	}
 	cfg := newConfig(n, opts)
+	res := &Result{
+		Algorithm: alg.Name(),
+		Outputs:   make([]int, n),
+		Radii:     make([]int, n),
+	}
 	if n == 0 {
-		return &Result{Algorithm: alg.Name()}, nil
+		return res, nil
 	}
 
-	eng := newMessageEngine(g, a, alg, cfg.maxRadius)
-	return eng.run()
-}
-
-// messageEngine owns the channels and goroutines of one execution.
-type messageEngine struct {
-	g         graph.Graph
-	a         ids.Assignment
-	alg       MessageAlgorithm
-	maxRounds int
-
-	// edge channels: ch[v][p] carries messages sent BY v THROUGH its port p;
-	// the receiver is the neighbour w, which finds it via its own reverse
-	// port map. Buffer 1: each directed edge carries exactly one message per
-	// round and rounds are separated by the coordinator barrier.
-	ch [][]chan any
-	// revPort[v][p] is the port at which neighbour g.Neighbor(v,p) sees v.
-	revPort [][]int
-
-	status chan nodeStatus // node -> coordinator, one per node per round
-	cont   []chan bool     // coordinator -> node, per node
-
-	decidedRound []int
-	output       []int
-}
-
-type nodeStatus struct {
-	vertex  int
-	decided bool
-}
-
-func newMessageEngine(g graph.Graph, a ids.Assignment, alg MessageAlgorithm, maxRounds int) *messageEngine {
-	n := g.N()
-	eng := &messageEngine{
-		g:            g,
-		a:            a,
-		alg:          alg,
-		maxRounds:    maxRounds,
-		ch:           make([][]chan any, n),
-		revPort:      make([][]int, n),
-		status:       make(chan nodeStatus, 1),
-		cont:         make([]chan bool, n),
-		decidedRound: make([]int, n),
-		output:       make([]int, n),
-	}
+	nodes := make([]MessageNode, n)
+	outbox := make([][]any, n)
+	decided := make([]bool, n)
+	allDecided := true
 	for v := 0; v < n; v++ {
-		d := g.Degree(v)
-		eng.ch[v] = make([]chan any, d)
-		eng.revPort[v] = make([]int, d)
-		eng.cont[v] = make(chan bool, 1)
-		eng.decidedRound[v] = -1
-		for p := 0; p < d; p++ {
-			eng.ch[v][p] = make(chan any, 1)
-			eng.revPort[v][p] = portOf(g, g.Neighbor(v, p), v)
+		nodes[v] = alg.NewNode(a[v], g.Degree(v))
+		outbox[v] = nodes[v].Init()
+		res.Radii[v] = -1
+		if out, ok := nodes[v].Output(); ok {
+			res.Outputs[v] = out
+			res.Radii[v] = 0
+			decided[v] = true
+		} else {
+			allDecided = false
 		}
 	}
-	return eng
+	revPorts := make([][]int, n)
+	for v := 0; v < n; v++ {
+		revPorts[v] = make([]int, g.Degree(v))
+		for p := 0; p < g.Degree(v); p++ {
+			revPorts[v][p] = portOf(g, g.Neighbor(v, p), v)
+		}
+	}
+
+	for round := 1; !allDecided; round++ {
+		if round > cfg.maxRadius {
+			return nil, fmt.Errorf("local: %s has undecided nodes after %d rounds", alg.Name(), cfg.maxRadius)
+		}
+		// Deliver: inbox[v][p] is what v's port-p neighbour sent through its
+		// own port towards v in this round.
+		inbox := make([][]any, n)
+		for v := 0; v < n; v++ {
+			d := g.Degree(v)
+			inbox[v] = make([]any, d)
+			for p := 0; p < d; p++ {
+				w := g.Neighbor(v, p)
+				wp := revPorts[v][p]
+				if msgs := outbox[w]; msgs != nil && wp < len(msgs) {
+					inbox[v][p] = msgs[wp]
+				}
+			}
+		}
+		allDecided = true
+		for v := 0; v < n; v++ {
+			outbox[v] = nodes[v].Round(inbox[v])
+			if decided[v] {
+				continue
+			}
+			if out, ok := nodes[v].Output(); ok {
+				res.Outputs[v] = out
+				res.Radii[v] = round
+				decided[v] = true
+			} else {
+				allDecided = false
+			}
+		}
+	}
+	return res, nil
 }
 
 // portOf finds the port through which u sees v.
@@ -128,105 +134,4 @@ func portOf(g graph.Graph, u, v int) int {
 		}
 	}
 	panic(fmt.Sprintf("local: no port from %d to %d", u, v))
-}
-
-func (eng *messageEngine) run() (*Result, error) {
-	n := eng.g.N()
-	var wg sync.WaitGroup
-	for v := 0; v < n; v++ {
-		wg.Add(1)
-		go func(v int) {
-			defer wg.Done()
-			eng.nodeLoop(v)
-		}(v)
-	}
-
-	undecidedErr := eng.coordinate()
-	wg.Wait()
-
-	if undecidedErr != nil {
-		return nil, undecidedErr
-	}
-	res := &Result{
-		Algorithm: eng.alg.Name(),
-		Outputs:   eng.output,
-		Radii:     eng.decidedRound,
-	}
-	return res, nil
-}
-
-// coordinate collects per-round statuses and tells the nodes whether to run
-// another round. It returns an error if the round cap is hit first.
-func (eng *messageEngine) coordinate() error {
-	n := eng.g.N()
-	for round := 0; ; round++ {
-		allDecided := true
-		for i := 0; i < n; i++ {
-			st := <-eng.status
-			if !st.decided {
-				allDecided = false
-			}
-		}
-		if allDecided {
-			eng.broadcast(false)
-			return nil
-		}
-		if round >= eng.maxRounds {
-			eng.broadcast(false)
-			return fmt.Errorf("local: %s has undecided nodes after %d rounds", eng.alg.Name(), eng.maxRounds)
-		}
-		eng.broadcast(true)
-	}
-}
-
-func (eng *messageEngine) broadcast(cont bool) {
-	for _, c := range eng.cont {
-		c <- cont
-	}
-}
-
-// nodeLoop drives one vertex: send, receive, compute, report, barrier.
-func (eng *messageEngine) nodeLoop(v int) {
-	d := eng.g.Degree(v)
-	node := eng.alg.NewNode(eng.a[v], d)
-
-	record := func(round int) bool {
-		if eng.decidedRound[v] >= 0 {
-			return true
-		}
-		if out, ok := node.Output(); ok {
-			eng.output[v] = out
-			eng.decidedRound[v] = round
-			return true
-		}
-		return false
-	}
-
-	msgs := node.Init()
-	decided := record(0)
-	eng.status <- nodeStatus{vertex: v, decided: decided}
-	if !<-eng.cont[v] {
-		return
-	}
-
-	recv := make([]any, d)
-	for round := 1; ; round++ {
-		for p := 0; p < d; p++ {
-			var m any
-			if msgs != nil && p < len(msgs) {
-				m = msgs[p]
-			}
-			eng.ch[v][p] <- m
-		}
-		for p := 0; p < d; p++ {
-			w := eng.g.Neighbor(v, p)
-			recv[p] = <-eng.ch[w][eng.revPort[v][p]]
-		}
-		msgs = node.Round(recv)
-		decided = record(round)
-		eng.status <- nodeStatus{vertex: v, decided: decided}
-		if !<-eng.cont[v] {
-			return
-		}
-	}
 }

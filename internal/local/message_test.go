@@ -172,6 +172,10 @@ func TestRunMessageRejectsBadAssignment(t *testing.T) {
 	if _, err := RunMessage(c, ids.Identity(3), immediateMsg{}); err == nil {
 		t.Error("length mismatch accepted")
 	}
+	bad := ids.Assignment{0, 1, 1, 2, 3}
+	if _, err := RunMessage(c, bad, immediateMsg{}); err == nil {
+		t.Error("duplicate identifiers accepted")
+	}
 }
 
 func TestRunMessageEmptyGraph(t *testing.T) {

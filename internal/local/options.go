@@ -96,7 +96,7 @@ func WithValidatedIDs() Option {
 // WithProgress registers an observer invoked by the view engine after
 // every decision attempt — the tracing hook for debugging algorithms and
 // for radius-profile instrumentation. The callback runs synchronously on
-// the engine's goroutine; keep it cheap.
+// the caller's goroutine; keep it cheap.
 func WithProgress(fn func(Progress)) Option {
 	return func(c *config) {
 		c.observer = fn

@@ -25,8 +25,6 @@ func implicitEquivFamilies() []struct {
 		{"cycle", graph.MustCycle(33)},
 		{"cycle-even", graph.MustCycle(32)},
 		{"path", graph.MustPath(29)},
-		{"torus", graph.MustTorus(5, 7)},
-		{"tree", graph.MustImplicitTree(3, 3)},
 	}
 }
 
@@ -77,7 +75,7 @@ func TestRunnerImplicitSourceMatchesBuilder(t *testing.T) {
 // so WithoutKernels runs under an implicit source must silently take the
 // ball-builder path and still match the baseline byte for byte.
 func TestRunnerImplicitSourceViewPath(t *testing.T) {
-	g := graph.MustTorus(4, 5)
+	g := graph.MustPath(20)
 	runner := local.NewRunner()
 	runner.SetSource(graph.NewImplicitBalls(g))
 	rng := rand.New(rand.NewSource(7))

@@ -4,8 +4,9 @@
 //   - the view (ball) engine: every node grows a radius around itself and
 //     outputs a function of the ball it sees, the formulation §1 of the
 //     paper calls "more convenient"; and
-//   - the message engine: one goroutine per node, synchronous rounds,
-//     unbounded messages, matching the round-based definition.
+//   - the message engine: per-node state machines exchanging unbounded
+//     messages in synchronous rounds, matching the round-based definition,
+//     run as one deterministic loop over the nodes per round.
 //
 // The engines agree: a full-information message algorithm that gathers balls
 // decides at exactly the radius the view engine reports (see gather.go and
@@ -130,9 +131,6 @@ func (v View) DegreeWithin(i int) int {
 // TrueDegree returns the actual degree of local vertex i in the underlying
 // graph (degrees travel with identifiers in the LOCAL model).
 func (v View) TrueDegree(i int) int { return v.degrees[i] }
-
-// CenterDegree returns the viewing vertex's own degree.
-func (v View) CenterDegree() int { return v.degrees[0] }
 
 // Complete reports whether the view provably covers the node's whole
 // connected component: every visible vertex shows all of its edges inside

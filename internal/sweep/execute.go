@@ -32,8 +32,8 @@ type worker struct {
 	// buffer, which Rand.Seed resets — without the two allocations per
 	// trial.
 	rng *rand.Rand
-	// assign is the caller-owned permutation storage ids.RandomInto (or
-	// ids.StreamInto) fills when Spec.Assign is unset.
+	// assign is the caller-owned permutation storage ids.RandomInto fills
+	// when Spec.Assign is unset.
 	assign []int
 	// impl is the worker's implicit-backend ball synthesizer, built lazily
 	// and cached by graph identity (implG): consecutive blocks at the same
@@ -274,10 +274,6 @@ func (w *worker) runBlock(ctx context.Context, spec Spec, g graph.Graph, atlas *
 			if err != nil {
 				return fmt.Errorf("sweep: assign size %d trial %d: %w", n, trial, err)
 			}
-		case spec.StreamIDs:
-			// The streaming draw needs no rng at all: the Feistel keys
-			// derive from the same (size, trial) seed coordinates.
-			a = ids.StreamInto(w.assign[:n], uint64(TrialSeed(spec.Seed, b.SizeIdx, trial)))
 		default:
 			w.rng.Seed(TrialSeed(spec.Seed, b.SizeIdx, trial))
 			a = ids.RandomInto(w.assign[:n], w.rng)

@@ -30,8 +30,62 @@ func quotientSpec(sizes []int, workers int, q bool,
 	}
 }
 
-// quotientFamilies enumerates every family declaring automorphisms, at
-// sizes small enough that the full n! fold stays cheap to compute.
+// declared is an adjacency graph declaring a caller-chosen automorphism
+// group, so the quotient suite covers groups no shipped family declares:
+// those are only the cycle's dihedral group and the complete graph's S_n.
+type declared struct {
+	*graph.Adj
+	sym graph.Symmetry
+}
+
+func (d *declared) Automorphisms() graph.Symmetry { return d.sym }
+
+// torus3x3 is the 3x3 torus (vertex r*3+c) with its translations, axis
+// flips and transpose: a transitive group of order 72.
+func torus3x3() (graph.Graph, error) {
+	perm := func(f func(r, c int) (int, int)) []int {
+		p := make([]int, 9)
+		for v := range p {
+			r, c := f(v/3, v%3)
+			p[v] = r*3 + c
+		}
+		return p
+	}
+	down := perm(func(r, c int) (int, int) { return (r + 1) % 3, c })
+	right := perm(func(r, c int) (int, int) { return r, (c + 1) % 3 })
+	var edges [][2]int
+	for v := 0; v < 9; v++ {
+		edges = append(edges, [2]int{v, down[v]}, [2]int{v, right[v]})
+	}
+	g, err := graph.NewAdj(9, edges)
+	if err != nil {
+		return nil, err
+	}
+	return &declared{g, graph.Symmetry{Order: 72, Generators: [][]int{
+		down,
+		right,
+		perm(func(r, c int) (int, int) { return (3 - r) % 3, c }),
+		perm(func(r, c int) (int, int) { return r, (3 - c) % 3 }),
+		perm(func(r, c int) (int, int) { return c, r }),
+	}}}, nil
+}
+
+// binaryTree7 is the depth-2 complete binary tree (BFS numbering) with its
+// three child-subtree swaps: an intransitive group of order 8.
+func binaryTree7() (graph.Graph, error) {
+	g, err := graph.NewBalancedTree(2, 2)
+	if err != nil {
+		return nil, err
+	}
+	return &declared{g, graph.Symmetry{Order: 8, Generators: [][]int{
+		{0, 2, 1, 5, 6, 3, 4},
+		{0, 1, 2, 4, 3, 5, 6},
+		{0, 1, 2, 3, 4, 6, 5},
+	}}}, nil
+}
+
+// quotientFamilies enumerates the declared groups the quotient fold is
+// checked on, at sizes small enough that the full n! fold stays cheap.
 func quotientFamilies() []struct {
 	name  string
 	sizes []int
@@ -43,11 +97,9 @@ func quotientFamilies() []struct {
 		mk    func(n int) (graph.Graph, error)
 	}{
 		{"cycle", []int{5, 6, 7}, func(n int) (graph.Graph, error) { return graph.NewCycle(n) }},
-		// 3x3 is the smallest legal torus (dims >= 3); a non-square one would
-		// need n >= 12, where the full-fold baseline is too slow for a test.
-		{"torus", []int{9}, func(n int) (graph.Graph, error) { return graph.NewTorus(3, 3) }},
+		{"torus", []int{9}, func(int) (graph.Graph, error) { return torus3x3() }},
 		{"complete", []int{5, 6}, func(n int) (graph.Graph, error) { return graph.NewCompleteGraph(n) }},
-		{"tree", []int{7}, func(n int) (graph.Graph, error) { return graph.NewImplicitTree(2, 2) }},
+		{"tree", []int{7}, func(int) (graph.Graph, error) { return binaryTree7() }},
 	}
 }
 

@@ -139,15 +139,6 @@ type Spec struct {
 	// n = 10^6..10^8. BackendImplicit requires every size's graph to
 	// implement graph.Implicit with a comparable dynamic type.
 	Backend Backend
-	// StreamIDs replaces the default buffered identifier draw
-	// (ids.RandomInto) with the streaming permutation family
-	// (ids.StreamInto): each trial's assignment is a seeded O(1)-per-vertex
-	// Feistel bijection, deterministic across workers, grains and backends.
-	// The permutations differ from the default family's, so StreamIDs
-	// changes result bytes — it is part of the sweep's identity, like Seed.
-	// Incompatible with Assign and Exhaustive (both already define their
-	// own draws).
-	StreamIDs bool
 }
 
 // Result is a completed (or cancelled) sweep: one aggregate per size, in
@@ -158,9 +149,9 @@ type Result struct {
 
 // SpecConflictError reports Spec toggles that define the same thing twice,
 // or a toggle missing its prerequisite: the typed form of the
-// exhaustive-path validation failures, so drivers diagnose a Quotient,
-// Exhaustive or StreamIDs conflict the same way they diagnose backend
-// declines (internal/cli).
+// exhaustive-path validation failures, so drivers diagnose a Quotient or
+// Exhaustive conflict the same way they diagnose backend declines
+// (internal/cli).
 type SpecConflictError struct {
 	// Fields names the Spec fields whose combination cannot run.
 	Fields []string
@@ -264,16 +255,6 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 	if spec.Quotient && !spec.Exhaustive {
 		return nil, &SpecConflictError{Fields: []string{"Quotient", "Exhaustive"},
 			Reason: "Quotient compresses the exhaustive rank space; set Exhaustive too"}
-	}
-	if spec.StreamIDs {
-		if spec.Assign != nil {
-			return nil, &SpecConflictError{Fields: []string{"StreamIDs", "Assign"},
-				Reason: "StreamIDs replaces the default identifier draw; Assign must be nil"}
-		}
-		if spec.Exhaustive {
-			return nil, &SpecConflictError{Fields: []string{"StreamIDs", "Exhaustive"},
-				Reason: "StreamIDs and Exhaustive both define the trial's permutation; pick one"}
-		}
 	}
 	workers := spec.Workers
 	if workers <= 0 {
