@@ -116,18 +116,17 @@ func BenchmarkE9GeneralGraphs(b *testing.B) {
 // benchSweepWorkers regenerates E6 at its full default scale (sizes up to
 // n=4096, 20 random permutations each) with a fixed worker-pool size. The
 // Sequential/Sharded pair is the engine's headline: identical tables,
-// wall-clock divided by the core count. sweep.BackendBuilder pins the run
-// to the ball-builder path, the pre-atlas baseline the Atlas pair is
-// measured against; noKernels keeps the atlas but takes the per-vertex
-// view path instead of the flat decision kernels. The tables are
-// byte-identical in every configuration.
-func benchSweepWorkers(b *testing.B, workers int, backend sweep.Backend, noKernels bool) {
+// wall-clock divided by the core count. noKernels pins the run to the
+// per-vertex view path on the ball builder, the baseline the Atlas pair
+// (flat kernels over the shared atlas) is measured against. The tables
+// are byte-identical in every configuration.
+func benchSweepWorkers(b *testing.B, workers int, noKernels bool) {
 	b.Helper()
 	e, err := experiments.Get("E6")
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := experiments.Config{Seed: 1, Workers: workers, Backend: string(backend), NoKernels: noKernels}
+	cfg := experiments.Config{Seed: 1, Workers: workers, NoKernels: noKernels}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tab, err := e.Run(context.Background(), cfg)
@@ -141,50 +140,46 @@ func benchSweepWorkers(b *testing.B, workers int, backend sweep.Backend, noKerne
 }
 
 // BenchmarkSweepE6Sequential is the full-size E6 sweep on one worker with
-// the atlas disabled — the old hand-rolled loop's execution model, kept as
-// the perf baseline.
-func BenchmarkSweepE6Sequential(b *testing.B) { benchSweepWorkers(b, 1, sweep.BackendBuilder, false) }
+// kernels off, so every vertex runs on the ball builder — the old
+// hand-rolled loop's execution model, kept as the perf baseline.
+func BenchmarkSweepE6Sequential(b *testing.B) { benchSweepWorkers(b, 1, true) }
 
 // BenchmarkSweepE6Sharded is the builder-path sweep sharded across all
 // cores; same seed, byte-identical table.
-func BenchmarkSweepE6Sharded(b *testing.B) { benchSweepWorkers(b, 0, sweep.BackendBuilder, false) }
+func BenchmarkSweepE6Sharded(b *testing.B) { benchSweepWorkers(b, 0, true) }
 
-// BenchmarkSweepE6AtlasSequential serves the same sweep from the shared
-// ball atlas on one worker: BFS layers are materialised once per size and
-// every trial shrinks to relabel + decide.
-func BenchmarkSweepE6AtlasSequential(b *testing.B) { benchSweepWorkers(b, 1, sweep.BackendAuto, false) }
+// BenchmarkSweepE6AtlasSequential runs the same sweep's flat kernels over
+// the shared ball atlas on one worker: BFS layers are materialised once
+// per size and every trial shrinks to one pass over the skeletons.
+func BenchmarkSweepE6AtlasSequential(b *testing.B) { benchSweepWorkers(b, 1, false) }
 
 // BenchmarkSweepE6AtlasSharded combines every engine layer: flat decision
 // kernels over the shared atlas under the full worker pool — the headline
 // configuration the CI regression guard tracks.
-func BenchmarkSweepE6AtlasSharded(b *testing.B) { benchSweepWorkers(b, 0, sweep.BackendAuto, false) }
-
-// BenchmarkSweepE6AtlasNoKernels is the atlas WITHOUT the flat kernels —
-// the PR 2 execution model, kept as the A/B baseline the kernel speedup is
-// measured against (cmd/avgbench -nokernels is the CLI form).
-func BenchmarkSweepE6AtlasNoKernels(b *testing.B) { benchSweepWorkers(b, 0, sweep.BackendAuto, true) }
+func BenchmarkSweepE6AtlasSharded(b *testing.B) { benchSweepWorkers(b, 0, false) }
 
 // BenchmarkSweepE4Colouring runs E4 at sizes 1024 and 4096, 4 trials:
-// Cole-Vishkin on the per-vertex view path and the Uniform kernel, both
-// allocation-free per vertex, plus the colouring verifier. Its allocs/op
-// guard catches per-vertex allocation coming back on either path.
+// the Cole-Vishkin and Uniform ring kernels, both allocation-free per
+// vertex, plus the colouring verifier. Its allocs/op guard catches
+// per-vertex allocation coming back on either kernel.
 func BenchmarkSweepE4Colouring(b *testing.B) {
 	benchExperiment(b, "E4", experiments.Config{Seed: 1, Sizes: []int{1024, 4096}, Trials: 4})
 }
 
 // benchSweepRaw measures the sweep engine directly (no table rendering):
 // the pruning algorithm over random permutations of a 4096-cycle, 32
-// trials, on the builder baseline or the default atlas backend.
-func benchSweepRaw(b *testing.B, workers int, backend sweep.Backend) {
+// trials, on the builder view path (noKernels) or the kernels over the
+// default atlas backend.
+func benchSweepRaw(b *testing.B, workers int, noKernels bool) {
 	b.Helper()
 	spec := sweep.Spec{
-		Seed:    9,
-		Sizes:   []int{4096},
-		Trials:  32,
-		Workers: workers,
-		Backend: backend,
-		Graph:   func(n int, _ *rand.Rand) (graph.Graph, error) { return graph.NewCycle(n) },
-		Alg:     func(int, ids.Assignment) local.ViewAlgorithm { return largestid.Pruning{} },
+		Seed:      9,
+		Sizes:     []int{4096},
+		Trials:    32,
+		Workers:   workers,
+		NoKernels: noKernels,
+		Graph:     func(n int, _ *rand.Rand) (graph.Graph, error) { return graph.NewCycle(n) },
+		Alg:       func(int, ids.Assignment) local.ViewAlgorithm { return largestid.Pruning{} },
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -198,17 +193,17 @@ func benchSweepRaw(b *testing.B, workers int, backend sweep.Backend) {
 	}
 }
 
-func BenchmarkSweepRawSequential(b *testing.B)      { benchSweepRaw(b, 1, sweep.BackendBuilder) }
-func BenchmarkSweepRawSharded(b *testing.B)         { benchSweepRaw(b, 0, sweep.BackendBuilder) }
-func BenchmarkSweepRawAtlasSequential(b *testing.B) { benchSweepRaw(b, 1, sweep.BackendAuto) }
-func BenchmarkSweepRawAtlasSharded(b *testing.B)    { benchSweepRaw(b, 0, sweep.BackendAuto) }
+func BenchmarkSweepRawSequential(b *testing.B)      { benchSweepRaw(b, 1, true) }
+func BenchmarkSweepRawSharded(b *testing.B)         { benchSweepRaw(b, 0, true) }
+func BenchmarkSweepRawAtlasSequential(b *testing.B) { benchSweepRaw(b, 1, false) }
+func BenchmarkSweepRawAtlasSharded(b *testing.B)    { benchSweepRaw(b, 0, false) }
 
 // benchSweepImplicit measures the implicit backend directly: closed-form
 // ball synthesis (no adjacency, no atlas, no CSR) serving the flat pruning
 // kernel over random permutations of a 65536-cycle — E2's average-radius
 // sweep at a size where the materialised atlas stops being the obvious
-// default. Tables are byte-identical to the atlas and builder backends;
-// this pair tracks the synthesis path's time and its O(workers) allocation
+// default. Tables are byte-identical to the atlas backend and to the
+// builder view path; this pair tracks the synthesis path's time and its O(workers) allocation
 // profile.
 func benchSweepImplicit(b *testing.B, workers int) {
 	b.Helper()
@@ -419,9 +414,9 @@ func BenchmarkBallGrowth(b *testing.B) {
 	}
 }
 
-// BenchmarkBallAtlasServe measures the atlas steady state the sweep relies
-// on: after one center's layers are materialised, every further trial's
-// ball is served as prefix windows in O(radius) row pointers.
+// BenchmarkBallAtlasServe measures the atlas steady state the kernels rely
+// on: after one center's layers are materialised, every further request
+// is answered by the published snapshot, one atomic load, without growth.
 func BenchmarkBallAtlasServe(b *testing.B) {
 	const n = 1 << 14
 	c := graph.MustCycle(n)

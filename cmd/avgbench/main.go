@@ -13,9 +13,8 @@
 //	avgbench -e all -timeout 30s    # give up (with an error) after 30s
 //	avgbench -e E3 -csv             # machine-readable output
 //	avgbench -e all -json          	# machine-readable output, with metadata
-//	avgbench -e E6 -nokernels       # keep the atlas, skip the flat decision kernels
-//	avgbench -e E11 -backend implicit    # closed-form ball synthesis: O(workers) memory at n=10^7
-//	avgbench -e E6 -backend builder      # force the ball-builder path (perf bisection); tables are byte-identical across backends
+//	avgbench -e E6 -nokernels       # every vertex on the ball-builder view path (A/B profiling); identical tables
+//	avgbench -e E11 -sizes 10000000 # kernels over closed-form balls: O(workers) memory at n=10^7
 //	avgbench -e E10 -sizes 13,14 -quotient   # symmetry-quotient enumeration: bit-identical tables, n!/2n of the work
 //	avgbench -e E12                      # quotient vs full n! fold, diffed field by field
 //	avgbench -e E6 -cpuprofile cpu.pb.gz -memprofile mem.pb.gz
@@ -71,8 +70,7 @@ func run(args []string) error {
 	asCSV := fs.Bool("csv", false, "emit CSV instead of aligned text")
 	asJSON := fs.Bool("json", false, "emit JSON (tables plus metadata)")
 	list := fs.Bool("list", false, "list experiments and exit")
-	noKernels := fs.Bool("nokernels", false, "disable the flat decision kernels over the atlas (identical tables, view-path timing)")
-	backendFlag := fs.String("backend", "", "sweep ball-sourcing backend: atlas, builder, or implicit (empty = auto; identical tables across backends)")
+	noKernels := fs.Bool("nokernels", false, "run every vertex on the ball-builder view path instead of the flat decision kernels (identical tables; the kernels' oracle and A/B toggle)")
 	quotient := fs.Bool("quotient", false, "enumerate exhaustive sweeps over canonical orbit representatives only (symmetric families; bit-identical tables, n!/|G| of the work, lifts E10's size cap to 14)")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the runs to this file")
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile to this file after the runs")
@@ -99,15 +97,8 @@ func run(args []string) error {
 		return fmt.Errorf("-trials, -workers and -grains take 0 (the default) or a positive count")
 	}
 
-	// Backend names fail fast, before any sweep starts, with the typed
-	// error.
-	backend, err := sweep.ParseBackend(*backendFlag)
-	if err != nil {
-		return err
-	}
-
 	cfg := experiments.Config{Seed: *seed, Trials: *trials, Workers: *workers,
-		NoKernels: *noKernels, Backend: string(backend), Quotient: *quotient}
+		NoKernels: *noKernels, Quotient: *quotient}
 	if *sizesFlag != "" {
 		for _, part := range strings.Split(*sizesFlag, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(part))

@@ -50,12 +50,18 @@ func TestRunErrors(t *testing.T) {
 		t.Error("-csv together with -json accepted")
 	}
 	// Negative counts must fail, not run as the default: a negative
-	// -trials would otherwise also enter the lease run key.
+	// -trials would otherwise also enter the lease run key. Undersized
+	// cycles fail too.
 	dir := t.TempDir()
 	for _, args := range [][]string{
 		{"-e", "E3", "-sizes", "16", "-trials", "-5"},
 		{"-e", "E3", "-sizes", "16", "-workers", "-1"},
 		{"-e", "E3", "-sizes", "16", "-store", dir, "-lease", "-grains", "-1"},
+		// No cycle has fewer than 3 vertices: the enumeration experiments
+		// must not swap such a size for their defaults.
+		{"-e", "E10", "-sizes", "1"},
+		{"-e", "E12", "-sizes", "2"},
+		{"-e", "E10", "-sizes", "2,5"},
 	} {
 		if err := run(args); err == nil {
 			t.Errorf("%v accepted", args)
@@ -151,14 +157,19 @@ func TestRunWorkers(t *testing.T) {
 	}
 }
 
-// TestRunNoAtlas: the atlas-free path is -backend builder; the retired
-// -noatlas flag is refused.
+// TestRunNoAtlas: the atlas-free path is -nokernels; the retired -noatlas
+// and -backend flags are refused.
 func TestRunNoAtlas(t *testing.T) {
-	if err := run([]string{"-e", "E6", "-sizes", "16,32", "-trials", "3", "-backend", "builder"}); err != nil {
-		t.Errorf("builder backend: %v", err)
+	if err := run([]string{"-e", "E6", "-sizes", "16,32", "-trials", "3", "-nokernels"}); err != nil {
+		t.Errorf("-nokernels: %v", err)
 	}
-	if err := run([]string{"-e", "E6", "-sizes", "16", "-noatlas"}); err == nil {
-		t.Error("retired -noatlas accepted")
+	for _, args := range [][]string{
+		{"-e", "E6", "-sizes", "16", "-noatlas"},
+		{"-e", "E6", "-sizes", "16", "-backend", "atlas"},
+	} {
+		if err := run(args); err == nil {
+			t.Errorf("retired flag accepted: %v", args)
+		}
 	}
 }
 

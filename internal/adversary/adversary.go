@@ -123,8 +123,8 @@ func (b Builder) Build(n int, rng *rand.Rand) (ids.Assignment, *Report, error) {
 //
 // All maxTries candidate arrangements are drawn from the rng up front —
 // the stream's consumption is then a pure function of (pool, maxTries) —
-// and scored in parallel waves over sweep.Map, each execution served from
-// one shared ball atlas of the slice's cycle instead of re-running BFS per
+// and scored in parallel waves over sweep.Map; kernel-capable algorithms
+// share one ball atlas of the slice's cycle instead of re-running BFS per
 // try. The first candidate (in draw order) reaching the target wins, so
 // the selection is byte-identical to a serial scan at any worker count.
 func (b Builder) carve(pool []int, target, maxTries int, rng *rand.Rand) (window, rest []int, err error) {
@@ -146,13 +146,14 @@ func (b Builder) carve(pool []int, target, maxTries int, rng *rand.Rand) (window
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	// One atlas per slice: every candidate shares the cycle's BFS layers,
-	// and kernel-capable algorithms take the flat path. Runners are pooled
-	// because sweep.Map hands out indices, not worker slots.
+	// One atlas per slice: kernel-capable algorithms take the flat path
+	// and share the cycle's BFS layers; the rest run on each runner's ball
+	// builder. Runners are pooled because sweep.Map hands out indices, not
+	// worker slots.
 	atlas := graph.NewBallAtlas(c, 0)
 	runners := sync.Pool{New: func() any {
 		r := local.NewRunner()
-		r.SetAtlas(atlas)
+		r.SetSource(atlas)
 		return r
 	}}
 	// hits[t] is the first vertex candidate t forces to the target radius,

@@ -7,7 +7,37 @@ import (
 	"repro/internal/local"
 )
 
-var _ local.Kernel = Uniform{}
+var (
+	_ local.Kernel = ColeVishkin{}
+	_ local.Kernel = Uniform{}
+)
+
+// DecideAll implements local.Kernel for consistently oriented rings. The
+// view path commits at radius k+3 or once its view closes, which on an
+// n-ring first happens at ⌊n/2⌋, so every vertex stops at
+// r* = min(k+3, ⌊n/2⌋). The final colour reads offsets -(k+3)..3 only, and
+// reading them modularly off the whole assignment gives the identifiers
+// the view path's segment holds at r*. Any other graph is declined and
+// runs on the view path.
+func (cv ColeVishkin) DecideAll(run *local.KernelRun) (bool, error) {
+	ring, ok := run.Atlas.Graph().(graph.Cycle)
+	if !ok {
+		return false, nil
+	}
+	k := iterationsToSix(cv.IDBits)
+	r := min(k+len(classicClasses), ring.N()/2)
+	for v := range run.Outs {
+		if err := run.Err(v); err != nil {
+			return true, err
+		}
+		if r > run.MaxRadius { // every vertex needs r*, so vertex 0 fails first
+			return true, run.Undecided(cv.Name(), v)
+		}
+		run.Outs[v] = colourSegment(segment{ids: run.Assign, center: v, closed: true}, k)
+		run.Radii[v] = r
+	}
+	return true, nil
+}
 
 // unreachable is the span bound of a position whose evaluation meets a
 // noPhase position: it is undecided at every radius.
@@ -17,7 +47,7 @@ const unreachable = math.MaxInt
 // graph.Cycle the identifiers a radius-r view reveals are known
 // analytically: ring positions v-r..v+r, or the whole ring once 2r+1 >= n.
 // So the kernel evaluates the phase construction once per position, over
-// the assignment read as a closed segment, with no View, no atlas rows and
+// the assignment read as a closed segment, with no View, no ball reads and
 // no per-radius loop. Three passes over ring positions u:
 //
 //  1. P(u), the commit phase (noPhase when no guess admits u);

@@ -1,6 +1,7 @@
 package coloring
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -73,9 +74,9 @@ func TestUniformNegativeIdentifierUndecided(t *testing.T) {
 	}
 }
 
-// uniformRuns runs Uniform on the atlas's ring under a through the
-// builder, the atlas view path and the kernel, fails the test if any of
-// them errs, and returns the results in that order.
+// uniformRuns runs Uniform on the atlas's ring under a through RunView,
+// the view path of a Runner with the atlas attached and the kernel, fails
+// the test if any of them errs, and returns the results in that order.
 func uniformRuns(t *testing.T, atlas *graph.BallAtlas, a ids.Assignment, opts ...local.Option) []*local.Result {
 	t.Helper()
 	results, errs := uniformRunsErr(atlas, a, opts...)
@@ -87,21 +88,28 @@ func uniformRuns(t *testing.T, atlas *graph.BallAtlas, a ids.Assignment, opts ..
 	return results
 }
 
-// uniformRunsErr is uniformRuns returning the errors. Each atlas path
-// gets a Runner of its own, so the results stay valid.
+// uniformRunsErr is uniformRuns returning the errors.
 func uniformRunsErr(atlas *graph.BallAtlas, a ids.Assignment, opts ...local.Option) ([]*local.Result, []error) {
+	return ringRunsErr(atlas, a, Uniform{}, opts...)
+}
+
+// ringRunsErr runs alg on the atlas's ring under a through RunView, the
+// view path of a Runner with the atlas attached and the kernel, and
+// returns the results and errors in that order. Each Runner path gets a
+// Runner of its own, so the results stay valid.
+func ringRunsErr(atlas *graph.BallAtlas, a ids.Assignment, alg local.ViewAlgorithm, opts ...local.Option) ([]*local.Result, []error) {
 	c := atlas.Graph()
 	results := make([]*local.Result, 3)
 	errs := make([]error, 3)
-	results[0], errs[0] = local.RunView(c, a, Uniform{}, opts...)
+	results[0], errs[0] = local.RunView(c, a, alg, opts...)
 	for i, kernels := range []bool{false, true} {
 		r := local.NewRunner()
-		r.SetAtlas(atlas)
+		r.SetSource(atlas)
 		o := opts
 		if !kernels {
 			o = append(o[:len(o):len(o)], local.WithoutKernels())
 		}
-		results[i+1], errs[i+1] = r.Run(c, a, Uniform{}, o...)
+		results[i+1], errs[i+1] = r.Run(c, a, alg, o...)
 	}
 	return results, errs
 }
@@ -171,8 +179,8 @@ type layout struct {
 
 // TestUniformKernelMatchesViewPathMixedPhases is the differential test of
 // the kernel's closed form: on rings of every size from 3 to 80 and layouts
-// that mix all three phases, the kernel, the atlas view path and the
-// builder agree on every output and radius, and a safety cap one below the
+// that mix all three phases, the kernel, the WithoutKernels view path and
+// RunView agree on every output and radius, and a safety cap one below the
 // largest radius fails all three with the identical Undecided error.
 func TestUniformKernelMatchesViewPathMixedPhases(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
@@ -221,10 +229,62 @@ func TestUniformKernelMatchesViewPathMixedPhases(t *testing.T) {
 	}
 }
 
+// TestColeVishkinKernelMatchesViewPath is the differential test of the
+// Cole–Vishkin kernel: on rings of every size from 3 to 80 (closed views
+// below n = 2(k+3), open ones above), identifier layouts of every scale and
+// three bit budgets, the kernel, the WithoutKernels view path and RunView
+// agree on every output and on the radius min(k+3, ⌊n/2⌋), and a safety
+// cap of 0 (ignored) or one below that radius ends all three identically.
+func TestColeVishkinKernelMatchesViewPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	closedSeen, openSeen := false, false
+	for n := 3; n <= 80; n++ {
+		atlas := graph.NewBallAtlas(graph.MustCycle(n), 0)
+		for _, l := range mixedLayouts(n, rng) {
+			base := ForMaxID(l.a.MaxID())
+			for _, alg := range []ColeVishkin{base, {IDBits: base.IDBits + 5}, {IDBits: base.IDBits + 40}} {
+				results, errs := ringRunsErr(atlas, l.a, alg)
+				for i, err := range errs {
+					if err != nil {
+						t.Fatalf("n=%d %s b=%d path %d: %v", n, l.name, alg.IDBits, i, err)
+					}
+				}
+				for i, res := range results[1:] {
+					if !reflect.DeepEqual(res, results[0]) {
+						t.Fatalf("n=%d %s b=%d: path %d differs from RunView\nwant: %v %v\ngot:  %v %v",
+							n, l.name, alg.IDBits, i+1, results[0].Outputs, results[0].Radii, res.Outputs, res.Radii)
+					}
+				}
+				k := iterationsToSix(alg.IDBits)
+				rstar := min(k+len(classicClasses), n/2)
+				closedSeen = closedSeen || rstar == n/2
+				openSeen = openSeen || rstar < n/2
+				if got := results[0].MaxRadius(); got != rstar {
+					t.Fatalf("n=%d %s b=%d: max radius %d, want %d", n, l.name, alg.IDBits, got, rstar)
+				}
+				for _, capped := range []int{0, rstar - 1} {
+					_, errs := ringRunsErr(atlas, l.a, alg, local.WithMaxRadius(capped))
+					if capped > 0 && errs[0] == nil {
+						t.Fatalf("n=%d %s b=%d cap %d: RunView decided", n, l.name, alg.IDBits, capped)
+					}
+					for i, err := range errs {
+						if fmt.Sprint(err) != fmt.Sprint(errs[0]) {
+							t.Fatalf("n=%d %s b=%d cap %d: path %d error %v, RunView %v", n, l.name, alg.IDBits, capped, i, err, errs[0])
+						}
+					}
+				}
+			}
+		}
+	}
+	if !closedSeen || !openSeen {
+		t.Errorf("closed rings seen: %v, open rings seen: %v; want both", closedSeen, openSeen)
+	}
+}
+
 // TestRingColouringAllocations guards the allocation-free decide layer: on
-// a warmed Runner with an atlas, the Uniform kernel and the Uniform and
-// ColeVishkin view paths cost at most 2 allocations per Run, the same at
-// every ring size. The engine's own view path costs 1 (largestid.Pruning).
+// a warmed Runner with an atlas, the Uniform and ColeVishkin kernels and
+// view paths cost at most 2 allocations per Run, the same at every ring
+// size. The engine's own view path costs 1 (largestid.Pruning).
 func TestRingColouringAllocations(t *testing.T) {
 	if raceEnabled {
 		// fmt's printer pool, behind ColeVishkin.Name, then allocates at random.
@@ -242,10 +302,11 @@ func TestRingColouringAllocations(t *testing.T) {
 			{"engine view path", largestid.Pruning{}, []local.Option{local.WithoutKernels()}},
 			{"Uniform kernel", Uniform{}, nil},
 			{"Uniform view path", Uniform{}, []local.Option{local.WithoutKernels()}},
-			{"ColeVishkin view path", ForMaxID(n - 1), nil},
+			{"ColeVishkin kernel", ForMaxID(n - 1), nil},
+			{"ColeVishkin view path", ForMaxID(n - 1), []local.Option{local.WithoutKernels()}},
 		} {
 			r := local.NewRunner()
-			r.SetAtlas(graph.NewBallAtlas(g, 0))
+			r.SetSource(graph.NewBallAtlas(g, 0))
 			var err error
 			for i := 0; i < 2; i++ {
 				_, err = r.Run(g, a, tc.alg, tc.opts...)

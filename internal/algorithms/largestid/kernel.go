@@ -1,6 +1,10 @@
 package largestid
 
 import (
+	// The kernels walk graph.AtlasBall skeletons. The compiler inlines
+	// their CompleteAt and SizeAt calls only when this package imports
+	// graph itself: nothing in local's export data carries those bodies.
+	_ "repro/internal/graph"
 	"repro/internal/local"
 	"repro/internal/problems"
 )

@@ -40,8 +40,6 @@ func Report(w io.Writer, tool string, err error) int {
 	var inc *sweep.IncompleteError
 	var ov *sweep.OverlapError
 	var dec *sweep.DecodeError
-	var impl *sweep.ImplicitUnsupportedError
-	var ub *sweep.UnknownBackendError
 	var quo *sweep.QuotientUnsupportedError
 	var conf *sweep.SpecConflictError
 	switch {
@@ -55,16 +53,6 @@ func Report(w io.Writer, tool string, err error) int {
 	case errors.As(err, &conf):
 		fmt.Fprintf(w, "%s: diagnosis: configuration — conflicting sweep options %s: %s (exit %d)\n",
 			tool, strings.Join(conf.Fields, " and "), conf.Reason, ExitFailure)
-		return ExitFailure
-	case errors.As(err, &impl):
-		fmt.Fprintf(w, "%s: diagnosis: configuration — the implicit backend needs a graph family with closed-form balls, and %s (n=%d) has none", tool, impl.Graph, impl.N)
-		if len(impl.Qualifying) > 0 {
-			fmt.Fprintf(w, "; qualifying families: %s", strings.Join(impl.Qualifying, ", "))
-		}
-		fmt.Fprintf(w, "; pick one of them or drop -backend implicit (exit %d)\n", ExitFailure)
-		return ExitFailure
-	case errors.As(err, &ub):
-		fmt.Fprintf(w, "%s: diagnosis: configuration — backend %q is not one of atlas, builder, implicit (exit %d)\n", tool, ub.Name, ExitFailure)
 		return ExitFailure
 	case errors.As(err, &inc):
 		fmt.Fprintf(w, "%s: diagnosis: incomplete run — coverage has gaps at n=%d", tool, inc.N)

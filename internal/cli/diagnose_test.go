@@ -37,21 +37,6 @@ func TestReportClassifiesAndNamesOffenders(t *testing.T) {
 			wantSubs: []string{"failed decoding", `"lease/e6-abc/s0/done/0-0"`},
 		},
 		{
-			name: "implicit-unsupported is configuration and lists qualifying families",
-			err: fmt.Errorf("E11: %w", &sweep.ImplicitUnsupportedError{
-				Graph: "*graph.CSRGraph", N: 10000000,
-				Qualifying: []string{"cycle (graph.Cycle)", "path (graph.Path)"}}),
-			wantCode: ExitFailure,
-			wantSubs: []string{"configuration", "*graph.CSRGraph", "n=10000000",
-				"cycle (graph.Cycle)", "path (graph.Path)", "drop -backend implicit"},
-		},
-		{
-			name:     "unknown backend is configuration and names the valid set",
-			err:      fmt.Errorf("avgbench: %w", &sweep.UnknownBackendError{Name: "csr"}),
-			wantCode: ExitFailure,
-			wantSubs: []string{"configuration", `"csr"`, "atlas, builder, implicit"},
-		},
-		{
 			name: "quotient-unsupported is configuration and lists qualifying families",
 			err: fmt.Errorf("E10: %w", &sweep.QuotientUnsupportedError{
 				Graph: "*graph.Adj", N: 12,

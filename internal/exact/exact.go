@@ -55,15 +55,13 @@ var ErrTooLarge = errors.New("exact: instance exceeds the enumeration cap")
 type Algorithm func(n int, a ids.Assignment) local.ViewAlgorithm
 
 // Options tunes an enumeration run; the zero value uses all cores with the
-// atlas and kernel fast paths on.
+// kernel fast path on.
 type Options struct {
 	// Workers bounds the sweep worker pool (0 = GOMAXPROCS).
 	Workers int
-	// Backend selects the sweep's ball source (sweep.BackendBuilder pins
-	// the per-worker ball builder) and NoKernels pins the per-vertex view
-	// path — results are byte-identical; both exist for A/B profiling,
-	// exactly as in sweep.Spec.
-	Backend   sweep.Backend
+	// NoKernels pins the per-vertex view path on the ball builder —
+	// results are byte-identical; it exists for A/B profiling, exactly as
+	// in sweep.Spec.
 	NoKernels bool
 	// NoQuotient disables the symmetry-quotient fast path even for graphs
 	// declaring automorphisms, forcing the full n! fold — the A/B baseline
@@ -182,7 +180,6 @@ func Distribution(ctx context.Context, g graph.Graph, alg Algorithm, opt Options
 		Exhaustive: true,
 		Quotient:   quotient,
 		Workers:    opt.Workers,
-		Backend:    opt.Backend,
 		NoKernels:  opt.NoKernels,
 		Graph:      func(int, *rand.Rand) (graph.Graph, error) { return g, nil },
 		Alg:        alg,

@@ -26,14 +26,22 @@ func e10Cap(cfg Config) int {
 
 // e10Sizes resolves the experiment's size sweep: enumeration is n!-bounded
 // (n!/2n under -quotient), so oversized overrides keep only their feasible
-// entries and fall back to the defaults when none fit. Shared by Sweeps and
+// entries and fall back to the defaults when none fit. A size no cycle has
+// (n < 3) fails, as in every other cycle experiment. Shared by Sweeps and
 // Tabulate so the clamped note renders identically in every process.
-func e10Sizes(cfg Config) (sizes []int, clamped bool) {
-	defSizes := []int{5, 6, 7, 8, 9}
-	cap := e10Cap(cfg)
+func e10Sizes(cfg Config) (sizes []int, clamped bool, err error) {
+	return clampSizes(cfg, []int{5, 6, 7, 8, 9}, e10Cap(cfg))
+}
+
+// clampSizes resolves an enumeration experiment's size override against
+// its defaults and its size cap; see e10Sizes.
+func clampSizes(cfg Config, defSizes []int, cap int) (sizes []int, clamped bool, err error) {
 	sizes = make([]int, 0, len(cfg.Sizes))
 	for _, n := range cfg.Sizes {
-		if n >= 3 && n <= cap {
+		if _, err := graph.NewCycle(n); err != nil {
+			return nil, false, err
+		}
+		if n <= cap {
 			sizes = append(sizes, n)
 		} else {
 			clamped = true
@@ -42,7 +50,7 @@ func e10Sizes(cfg Config) (sizes []int, clamped bool) {
 	if len(sizes) == 0 {
 		sizes, clamped = defSizes, clamped && len(cfg.Sizes) > 0
 	}
-	return sizes, clamped
+	return sizes, clamped, nil
 }
 
 // e10 closes the validation ladder: the EXACT ground truth — every one of
@@ -61,7 +69,10 @@ func e10() Experiment {
 		Title: "Exact enumeration vs Monte-Carlo sampling: ground-truth agreement",
 		Claim: "§2 worst case and §4 expectation over ALL n! permutations, exactly",
 		Sweeps: func(cfg Config) ([]sweep.Spec, error) {
-			sizes, _ := e10Sizes(cfg)
+			sizes, _, err := e10Sizes(cfg)
+			if err != nil {
+				return nil, err
+			}
 			cycle := func(n int, _ *rand.Rand) (graph.Graph, error) { return graph.NewCycle(n) }
 			pruning := func(int, ids.Assignment) local.ViewAlgorithm { return largestid.Pruning{} }
 
@@ -92,7 +103,10 @@ func e10() Experiment {
 		},
 		Tabulate: func(cfg Config, results []*sweep.Result) (*Table, error) {
 			exRes, mcRes := results[0], results[1]
-			_, clamped := e10Sizes(cfg)
+			_, clamped, err := e10Sizes(cfg)
+			if err != nil {
+				return nil, err
+			}
 			trials := trialsOrDefault(cfg, 2000)
 
 			t := &Table{

@@ -13,10 +13,10 @@ import (
 // e11 is the implicit-scale extension of E2's average-radius claim: the
 // pruning algorithm's sampled average radius keeps its Θ(log n) growth at
 // n = 10^5..10^7 — two orders of magnitude past what a materialised atlas
-// or adjacency structure fits in memory. The sweep therefore defaults to
-// the implicit backend (closed-form ball synthesis, O(workers) memory);
-// any other graph.Implicit-capable backend produces byte-identical tables,
-// which is the cross-backend hold the sweep suite enforces at small n.
+// or adjacency structure fits in memory. The sweep therefore runs its
+// kernels on the implicit backend (closed-form ball synthesis, O(workers)
+// memory); -nokernels runs the same table on the ball builder, which is
+// the identity CI checks at small n.
 //
 // No exact worst permutation at these sizes: reconstructing it is O(n²)
 // via the recurrence, so E11 reports Monte-Carlo sampling only — the
@@ -28,12 +28,8 @@ func e11() Experiment {
 		Claim: "§2: \"the average radius is logarithmic in n\" — extended to sizes served by closed-form ball synthesis",
 		Sweeps: func(cfg Config) ([]sweep.Spec, error) {
 			spec := cycleSpec(cfg, []int{100000, 1000000, 10000000}, 3)
-			if cfg.Backend == "" {
-				// The default atlas would materialise O(n · ball) state per
-				// size; at E11's sizes that is the wrong default. expandSweeps
-				// leaves a pinned backend alone, so -backend still overrides.
-				spec.Backend = sweep.BackendImplicit
-			}
+			// The atlas would materialise O(n · ball) state per size.
+			spec.Backend = sweep.BackendImplicit
 			spec.Alg = func(int, ids.Assignment) local.ViewAlgorithm { return largestid.Pruning{} }
 			spec.Verify = verifyLargestID
 			return []sweep.Spec{spec}, nil

@@ -16,20 +16,8 @@ import (
 // e12Sizes resolves the cross-check's size sweep. Both sides must run, and
 // the full side is n!-bounded, so the cap is exact.MaxFullEnumerationN
 // regardless of Config.Quotient.
-func e12Sizes(cfg Config) (sizes []int, clamped bool) {
-	defSizes := []int{5, 6, 7, 8}
-	sizes = make([]int, 0, len(cfg.Sizes))
-	for _, n := range cfg.Sizes {
-		if n >= 3 && n <= exact.MaxFullEnumerationN {
-			sizes = append(sizes, n)
-		} else {
-			clamped = true
-		}
-	}
-	if len(sizes) == 0 {
-		sizes, clamped = defSizes, clamped && len(cfg.Sizes) > 0
-	}
-	return sizes, clamped
+func e12Sizes(cfg Config) (sizes []int, clamped bool, err error) {
+	return clampSizes(cfg, []int{5, 6, 7, 8}, exact.MaxFullEnumerationN)
 }
 
 // e12 is the symmetry-quotient acceptance gate: the same exhaustive cycle
@@ -51,7 +39,10 @@ func e12() Experiment {
 			if cfg.Quotient {
 				return nil, fmt.Errorf("experiments: E12 pins its own quotient/full split; drop -quotient")
 			}
-			sizes, _ := e12Sizes(cfg)
+			sizes, _, err := e12Sizes(cfg)
+			if err != nil {
+				return nil, err
+			}
 			base := sweep.Spec{
 				Seed:       cfg.Seed,
 				Sizes:      sizes,
@@ -67,7 +58,10 @@ func e12() Experiment {
 		},
 		Tabulate: func(cfg Config, results []*sweep.Result) (*Table, error) {
 			full, quot := results[0], results[1]
-			_, clamped := e12Sizes(cfg)
+			_, clamped, err := e12Sizes(cfg)
+			if err != nil {
+				return nil, err
+			}
 			t := &Table{
 				Title: "E12: quotient enumeration vs full n! fold",
 				Columns: []string{"n", "perms", "reps", "speedup",

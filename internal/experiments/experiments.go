@@ -16,8 +16,8 @@ import (
 // defaults used in EXPERIMENTS.md; benchmarks use reduced sizes. The JSON
 // tags make a Config part of a leased run's identity (leased.go): two
 // executors cooperating on one table must present equal result-affecting
-// fields (Seed, Sizes, Trials, ... — Workers, Backend and NoKernels never
-// change bytes and are ignored by the comparison).
+// fields (Seed, Sizes, Trials, ... — Workers and NoKernels never change
+// bytes and are ignored by the comparison).
 type Config struct {
 	// Seed drives all randomness; equal seeds reproduce tables exactly,
 	// independent of Workers.
@@ -29,17 +29,11 @@ type Config struct {
 	Trials int `json:"trials,omitempty"`
 	// Workers bounds the sweep worker pool (0 = GOMAXPROCS).
 	Workers int `json:"workers,omitempty"`
-	// NoKernels pins atlas-backed runs to the per-vertex view path instead
-	// of the flat decision kernels. Tables are byte-identical either way;
-	// it exists for A/B profiling (avgbench -nokernels).
+	// NoKernels pins every run to the per-vertex view path, served by the
+	// ball builder, instead of the flat decision kernels. Tables are
+	// byte-identical either way; it exists for A/B profiling and as the
+	// kernels' oracle (avgbench -nokernels).
 	NoKernels bool `json:"noKernels,omitempty"`
-	// Backend names the sweep ball-sourcing backend ("", "atlas",
-	// "builder", "implicit" — see sweep.Backend). Tables are byte-identical
-	// across backends, so like NoKernels it never changes result bytes; the
-	// builder backend is the baseline the atlas fast path is measured
-	// against, and the implicit backend is what fits n = 10^6..10^8 sweeps
-	// in O(workers) memory (avgbench -backend).
-	Backend string `json:"backend,omitempty"`
 	// Quotient routes exhaustive sweeps through symmetry-quotient
 	// enumeration: only canonical orbit representatives execute, each
 	// folded with orbit weight, and the merged aggregates are bit-for-bit
@@ -211,10 +205,8 @@ func cycleSpec(cfg Config, defSizes []int, defTrials int) sweep.Spec {
 }
 
 // expandSweeps is how every runner obtains an experiment's specs: it calls
-// Sweeps and then applies the config's cross-cutting knobs — backend
-// selection and quotient enumeration — uniformly, so every experiment
-// honours -backend/-quotient without forwarding them one by one. A spec
-// that pinned its own backend (E11 defaulting to implicit) keeps it.
+// Sweeps and then applies the config's cross-cutting quotient knob
+// uniformly, so every experiment honours -quotient without forwarding it.
 // Quotient only lands on exhaustive sweeps: elsewhere the flag is a no-op
 // rather than a conflict.
 func expandSweeps(e Experiment, cfg Config) ([]sweep.Spec, error) {
@@ -223,12 +215,8 @@ func expandSweeps(e Experiment, cfg Config) ([]sweep.Spec, error) {
 		return nil, err
 	}
 	for k := range specs {
-		spec := &specs[k]
-		if spec.Backend == sweep.BackendAuto {
-			spec.Backend = sweep.Backend(cfg.Backend)
-		}
-		if cfg.Quotient && spec.Exhaustive {
-			spec.Quotient = true
+		if cfg.Quotient && specs[k].Exhaustive {
+			specs[k].Quotient = true
 		}
 	}
 	return specs, nil

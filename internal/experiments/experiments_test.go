@@ -279,42 +279,24 @@ func TestTableRenderAndCSV(t *testing.T) {
 	}
 }
 
-// TestConfigKnobsReachEveryExperiment pins the expandSweeps contract:
-// -backend acts uniformly on every experiment's sweeps, and leaves the
-// work an experiment does in Tabulate alone. The implicit backend must
-// fail typed on E9's non-implicit families, and a servable backend must
-// leave bytes alone.
+// TestConfigKnobsReachEveryExperiment pins the perf-toggle contract:
+// -nokernels reaches every experiment's sweeps and leaves the work an
+// experiment does in Tabulate alone, so the bytes match the goldens.
 func TestConfigKnobsReachEveryExperiment(t *testing.T) {
 	ctx := context.Background()
-
-	e9, err := Get("E9")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := smallCfg()
-	cfg.Backend = "implicit"
-	if _, err := e9.Run(ctx, cfg); err == nil {
-		t.Fatal("E9 with the implicit backend ran; want ImplicitUnsupportedError for the grid family")
-	} else {
-		var iu *sweep.ImplicitUnsupportedError
-		if !errors.As(err, &iu) {
-			t.Fatalf("E9 implicit error = %v, want *sweep.ImplicitUnsupportedError", err)
-		}
-	}
-
-	for _, id := range []string{"E2", "E10", "E5", "E8"} {
+	for _, id := range []string{"E2", "E10", "E5", "E8", "E11"} {
 		e, err := Get(id)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg := smallCfg()
-		cfg.Backend = "builder"
-		viaBuilder, err := e.Run(ctx, cfg)
+		cfg.NoKernels = true
+		viaViews, err := e.Run(ctx, cfg)
 		if err != nil {
-			t.Fatalf("%s -backend builder: %v", id, err)
+			t.Fatalf("%s -nokernels: %v", id, err)
 		}
-		if viaBuilder.Render() != goldenTable(t, id) {
-			t.Errorf("%s: builder backend changed the bytes", id)
+		if viaViews.Render() != goldenTable(t, id) {
+			t.Errorf("%s: -nokernels changed the bytes", id)
 		}
 	}
 }

@@ -33,13 +33,11 @@ import (
 )
 
 // normalizedConfig strips the fields that cannot change result bytes —
-// worker count, the kernel toggle and the ball-sourcing backend — so
-// executors launched with different parallelism or backends still
-// cooperate on one run.
+// worker count and the kernel toggle — so executors launched with
+// different parallelism or kernel settings still cooperate on one run.
 func normalizedConfig(cfg Config) Config {
 	cfg.Workers = 0
 	cfg.NoKernels = false
-	cfg.Backend = ""
 	return cfg
 }
 

@@ -18,28 +18,17 @@ const DefaultAtlasMemLimit = 256 << 20 // 256 MiB
 // BallAtlas is a per-graph, read-only, lazily grown store of every vertex's
 // BFS ball layers. It exists because permutation sweeps run thousands of
 // identifier assignments over the SAME graph instance, yet ball structure
-// (discovery order, distances, induced adjacency) depends only on the graph
-// — so the BFS work of the view engine is identical across trials and can
-// be paid once.
+// (discovery order, distances, degrees) depends only on the graph — so the
+// BFS work of the flat decision kernels (local.Kernel) is identical across
+// trials and can be paid once. Per-vertex views never read it: they come
+// from the ball builder.
 //
-// For each centre the atlas records the full BFS discovery order (exploring
-// ports in increasing order, exactly the order NewBall and BallBuilder use),
-// flattened into Verts/Dist/Degs arrays with per-radius layer offsets. The
-// radius-r ball is then a PREFIX WINDOW of those arrays.
-//
-// Storage is two-tier, because most algorithms never look at edges:
-//
-//   - The SKELETON (always materialised) additionally stores each local
-//     vertex's induced degree at its own discovery radius (OwnDeg). Over
-//     the lifetime of a growing ball, local vertex i (discovered at
-//     distance d) has exactly two induced degrees: OwnDeg(i) at radius d
-//     and its true degree at every radius > d (all neighbours sit at
-//     distance <= d+1, hence inside the ball). That is everything
-//     completeness and degree checks need.
-//   - The ROWS (materialised per centre on first demand, see RowsFor)
-//     store the actual adjacency lists, CSR-flattened in port order, in
-//     the same two variants: the row truncated to the ball at the
-//     vertex's own radius, and the complete row.
+// For each centre the atlas records a SKELETON: the full BFS discovery
+// order (exploring ports in increasing order, exactly the order NewBall
+// and BallBuilder use), flattened into Verts/Dist/Degs arrays with
+// per-radius layer offsets, plus one completeness bit per radius. The
+// radius-r ball is then a PREFIX WINDOW of those arrays. No adjacency is
+// stored.
 //
 // Growth is lazy and radius-incremental with geometric lookahead: only
 // radii within a constant factor of what some trial actually reaches are
@@ -69,8 +58,8 @@ type BallAtlas struct {
 // endpoints). The atlas then behaves exactly like a memory-capped one —
 // Ensure returns nil, callers fall back to the ball builder — but Err
 // names the real cause instead of silently wrapping it into "exhausted".
-// Graphs that large should run through the Implicit backend, which never
-// builds a CSR.
+// Graphs that large reach kernels only through a closed-form source
+// (ImplicitBalls), which never builds a CSR.
 type CSROverflowError struct {
 	// Verts is the graph's vertex count.
 	Verts int
@@ -80,7 +69,7 @@ type CSROverflowError struct {
 }
 
 func (e *CSROverflowError) Error() string {
-	return fmt.Sprintf("graph: atlas CSR offsets overflow int32: %d vertices, %d edge endpoints (use the implicit backend at this scale)",
+	return fmt.Sprintf("graph: atlas CSR offsets overflow int32: %d vertices, %d edge endpoints",
 		e.Verts, e.EdgeEnds)
 }
 
@@ -91,11 +80,10 @@ func csrFits(n int, edgeEnds int64) bool {
 }
 
 // vertexAtlas is one centre's slot: a mutex serialising growth and the
-// atomically published immutable snapshots of the skeleton and the rows.
+// atomically published immutable snapshot of the skeleton.
 type vertexAtlas struct {
 	mu    sync.Mutex
 	state atomic.Pointer[AtlasBall]
-	rows  atomic.Pointer[AtlasRows]
 }
 
 // AtlasBall is an immutable snapshot of one centre's materialised skeleton.
@@ -116,15 +104,11 @@ type AtlasBall struct {
 	// LayerEnd[r] is the number of vertices at distance <= r, r in
 	// [0, MaxRadius].
 	LayerEnd []int
-	// ownDeg[i] is local vertex i's induced degree in the ball at its own
-	// discovery radius Dist[i]; at any larger radius its induced degree is
-	// Degs[i].
-	ownDeg []int32
 	// layerFull[r] reports that every distance-r vertex already shows its
 	// full degree inside the radius-r ball — i.e. the radius-r view is
 	// provably complete (interior vertices always show full degree). One
-	// flag per materialised radius turns the view engine's completeness
-	// check into an O(1) lookup.
+	// flag per materialised radius turns a kernel's completeness check
+	// into an O(1) lookup.
 	layerFull []bool
 }
 
@@ -141,9 +125,9 @@ func (ab *AtlasBall) SizeAt(r int) int {
 }
 
 // FrontierStartAt returns the local index of the first vertex at distance
-// exactly r — the boundary between interior vertices (full induced degree,
-// full rows) and frontier vertices (own degree, own rows) in the radius-r
-// view. Equal to SizeAt(r) when the layer is empty.
+// exactly r — the boundary between interior vertices (every neighbour
+// inside the ball) and the frontier layer of the radius-r ball. Equal to
+// SizeAt(r) when the layer is empty.
 func (ab *AtlasBall) FrontierStartAt(r int) int {
 	if r <= 0 {
 		return 0
@@ -153,10 +137,6 @@ func (ab *AtlasBall) FrontierStartAt(r int) int {
 	}
 	return ab.LayerEnd[r-1]
 }
-
-// OwnDeg returns local vertex i's induced degree at its own discovery
-// radius.
-func (ab *AtlasBall) OwnDeg(i int) int { return int(ab.ownDeg[i]) }
 
 // CompleteAt reports whether the radius-r view is complete: every vertex
 // visible at radius r shows all of its edges inside the ball. Radii past
@@ -172,40 +152,7 @@ func (ab *AtlasBall) CompleteAt(r int) bool {
 // memSize approximates the skeleton's footprint in bytes.
 func (ab *AtlasBall) memSize() int64 {
 	words := len(ab.Verts) + len(ab.Dist) + len(ab.Degs) + len(ab.LayerEnd)
-	return int64(words)*8 + int64(len(ab.ownDeg))*4 + int64(len(ab.layerFull))
-}
-
-// AtlasRows is an immutable snapshot of one centre's materialised adjacency
-// rows, covering the skeleton prefix [0, Size). Rows are shared and
-// read-only.
-type AtlasRows struct {
-	// Size is the number of local vertices covered (the skeleton size at
-	// materialisation time).
-	Size int
-	// interiorEnd bounds the prefix with full rows available.
-	interiorEnd int
-	ownOff      []int32
-	ownData     []int
-	fullOff     []int32
-	fullData    []int
-}
-
-// OwnRow returns local vertex i's induced adjacency row at its own
-// discovery radius (neighbours at distance <= Dist[i]), in port order.
-func (ar *AtlasRows) OwnRow(i int) []int {
-	return ar.ownData[ar.ownOff[i]:ar.ownOff[i+1]]
-}
-
-// FullRow returns local vertex i's complete adjacency row (every
-// neighbour, mapped to local indices), in port order. Valid for interior
-// vertices only: those before the ball's frontier layer.
-func (ar *AtlasRows) FullRow(i int) []int {
-	return ar.fullData[ar.fullOff[i]:ar.fullOff[i+1]]
-}
-
-func (ar *AtlasRows) memSize() int64 {
-	return int64(len(ar.ownData)+len(ar.fullData))*8 +
-		int64(len(ar.ownOff)+len(ar.fullOff))*4
+	return int64(words)*8 + int64(len(ab.layerFull))
 }
 
 // atlasScratch is the pooled BFS membership scratch used during growth —
@@ -213,9 +160,8 @@ func (ar *AtlasRows) memSize() int64 {
 // through a pool so concurrent growth of different centres never contends
 // on it.
 type atlasScratch struct {
-	localIdx []int32
-	stamp    []uint32
-	epoch    uint32
+	stamp []uint32
+	epoch uint32
 }
 
 // NewBallAtlas creates an empty atlas over g. memLimit caps the total
@@ -225,9 +171,8 @@ type atlasScratch struct {
 //
 // The cap is soft: it is charged per growth step, and the step that
 // crosses it completes before all further materialisation stops — so the
-// overshoot is bounded by one centre's ball (or, for RowsFor, one centre's
-// edge lists) and a capped atlas keeps serving everything it already
-// built.
+// overshoot is bounded by one centre's ball and a capped atlas keeps
+// serving everything it already built.
 func NewBallAtlas(g Graph, memLimit int64) *BallAtlas {
 	switch {
 	case memLimit == 0:
@@ -249,9 +194,6 @@ func (a *BallAtlas) MemUsed() int64 {
 	for i := range a.balls {
 		if st := a.balls[i].state.Load(); st != nil {
 			used += st.memSize()
-		}
-		if rows := a.balls[i].rows.Load(); rows != nil {
-			used += rows.memSize()
 		}
 	}
 	return used
@@ -389,7 +331,6 @@ func (a *BallAtlas) grow(center int, st *AtlasBall, target int) *AtlasBall {
 		next.Degs = append(block[2*est:2*est:3*est], deg)
 		next.LayerEnd = make([]int, 1, target+1)
 		next.LayerEnd[0] = 1
-		next.ownDeg = append(make([]int32, 0, est), 0)
 		next.layerFull = append(make([]bool, 0, target+1), deg == 0)
 	} else {
 		*next = *st
@@ -397,8 +338,7 @@ func (a *BallAtlas) grow(center int, st *AtlasBall, target int) *AtlasBall {
 	// Re-stamp the existing ball so membership tests see it. This is the
 	// only repeated work across growth calls; the geometric lookahead
 	// keeps its total O(final ball size).
-	for i, v := range next.Verts {
-		sc.localIdx[v] = int32(i)
+	for _, v := range next.Verts {
 		sc.stamp[v] = sc.epoch
 	}
 
@@ -423,27 +363,24 @@ func (a *BallAtlas) grow(center int, st *AtlasBall, target int) *AtlasBall {
 				if sc.stamp[w] == sc.epoch {
 					continue
 				}
-				sc.localIdx[w] = int32(len(next.Verts))
 				sc.stamp[w] = sc.epoch
 				next.Verts = append(next.Verts, w)
 				next.Dist = append(next.Dist, r+1)
 				next.Degs = append(next.Degs, int(csrOff[w+1]-csrOff[w]))
 			}
 		}
-		// Own degrees for the new layer: with layers 0..r+1 now stamped
-		// and r+2 not yet discovered, the stamped neighbours of a layer-
-		// (r+1) vertex are exactly its ball-(r+1) neighbours.
+		// The new layer is full iff none of its vertices has a neighbour
+		// outside the ball: with layers 0..r+1 stamped and r+2 not yet
+		// discovered, an unstamped neighbour is exactly that.
 		full := true
-		for i := start; i < len(next.Verts); i++ {
-			v := next.Verts[i]
-			var d int32
+	layer:
+		for _, v := range next.Verts[start:] {
 			for _, w := range csrAdj[csrOff[v]:csrOff[v+1]] {
-				if sc.stamp[w] == sc.epoch {
-					d++
+				if sc.stamp[w] != sc.epoch {
+					full = false
+					break layer
 				}
 			}
-			next.ownDeg = append(next.ownDeg, d)
-			full = full && int(d) == next.Degs[i]
 		}
 		next.layerFull = append(next.layerFull, full)
 		next.LayerEnd = append(next.LayerEnd, len(next.Verts))
@@ -462,73 +399,6 @@ func (a *BallAtlas) grow(center int, st *AtlasBall, target int) *AtlasBall {
 	return next
 }
 
-// RowsFor returns adjacency rows covering at least the first size local
-// vertices of center's skeleton, with full rows available for at least the
-// first interiorNeed of them, materialising (or extending) the rows on
-// first demand. Row materialisation never fails: a view that was already
-// served from the skeleton must be able to enumerate its edges, so this
-// path may overshoot the memory cap (it still charges the budget, stopping
-// all future skeleton growth). size must not exceed the materialised
-// skeleton, and interiorNeed must not exceed the skeleton's interior
-// prefix.
-func (a *BallAtlas) RowsFor(center, size, interiorNeed int) *AtlasRows {
-	va := &a.balls[center]
-	if rows := va.rows.Load(); rows != nil && rows.Size >= size && rows.interiorEnd >= interiorNeed {
-		return rows
-	}
-	va.mu.Lock()
-	defer va.mu.Unlock()
-	if rows := va.rows.Load(); rows != nil && rows.Size >= size && rows.interiorEnd >= interiorNeed {
-		return rows
-	}
-	st := va.state.Load()
-	csrOff, csrAdj := a.csr()
-	sc := a.getScratch()
-	defer a.scratch.Put(sc)
-	for i, v := range st.Verts {
-		sc.localIdx[v] = int32(i)
-		sc.stamp[v] = sc.epoch
-	}
-	n := len(st.Verts)
-	rows := &AtlasRows{
-		Size:        n,
-		interiorEnd: st.FrontierStartAt(st.MaxRadius),
-		ownOff:      make([]int32, 1, n+1),
-		fullOff:     make([]int32, 1, n+1),
-	}
-	if st.Complete {
-		rows.interiorEnd = n
-	}
-	for i := 0; i < n; i++ {
-		v, d := st.Verts[i], st.Dist[i]
-		for _, w32 := range csrAdj[csrOff[v]:csrOff[v+1]] {
-			w := int(w32)
-			// Own row: neighbours inside the ball at i's own radius.
-			if sc.stamp[w] == sc.epoch && st.Dist[sc.localIdx[w]] <= d {
-				rows.ownData = append(rows.ownData, int(sc.localIdx[w]))
-			}
-		}
-		rows.ownOff = append(rows.ownOff, int32(len(rows.ownData)))
-		if i < rows.interiorEnd {
-			// Full row: every neighbour is stamped (all sit at distance
-			// <= d+1 <= MaxRadius).
-			for _, w := range csrAdj[csrOff[v]:csrOff[v+1]] {
-				rows.fullData = append(rows.fullData, int(sc.localIdx[w]))
-			}
-			rows.fullOff = append(rows.fullOff, int32(len(rows.fullData)))
-		}
-	}
-	delta := rows.memSize()
-	if old := va.rows.Load(); old != nil {
-		delta -= old.memSize() // the old snapshot is garbage once replaced
-	}
-	if a.budget.Add(-delta) < 0 {
-		a.exhausted.Store(true)
-	}
-	va.rows.Store(rows)
-	return rows
-}
-
 // getScratch checks a membership scratch out of the pool, sized to the
 // graph, with a fresh epoch.
 func (a *BallAtlas) getScratch() *atlasScratch {
@@ -536,8 +406,7 @@ func (a *BallAtlas) getScratch() *atlasScratch {
 	if sc == nil {
 		sc = &atlasScratch{}
 	}
-	if n := a.g.N(); len(sc.localIdx) < n {
-		sc.localIdx = make([]int32, n)
+	if n := a.g.N(); len(sc.stamp) < n {
 		sc.stamp = make([]uint32, n)
 		sc.epoch = 0
 	}
@@ -550,34 +419,4 @@ func (a *BallAtlas) getScratch() *atlasScratch {
 		sc.epoch = 1
 	}
 	return sc
-}
-
-// BallAt materialises the radius-r ball around center as a standalone
-// Ball, byte-identical to NewBall(g, center, r) and to a BallBuilder grown
-// r times. It allocates per call — the sweep hot path serves views from
-// the skeleton directly — and returns nil when the atlas is memory-capped.
-func (a *BallAtlas) BallAt(center, r int) *Ball {
-	if r < 0 {
-		r = 0
-	}
-	st := a.Ensure(center, r)
-	if st == nil {
-		return nil
-	}
-	end := st.SizeAt(r)
-	fs := st.FrontierStartAt(r)
-	rows := a.RowsFor(center, end, fs)
-	b := &Ball{
-		Radius: r,
-		Verts:  append([]int(nil), st.Verts[:end]...),
-		Dist:   append([]int(nil), st.Dist[:end]...),
-		Adj:    make([][]int, end),
-	}
-	for i := 0; i < fs; i++ {
-		b.Adj[i] = append([]int(nil), rows.FullRow(i)...)
-	}
-	for i := fs; i < end; i++ {
-		b.Adj[i] = append([]int(nil), rows.OwnRow(i)...)
-	}
-	return b
 }

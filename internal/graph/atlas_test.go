@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -45,32 +46,46 @@ func atlasTestFamilies(t *testing.T) map[string]Graph {
 	}
 }
 
-// sameBall compares two balls structurally, treating nil and empty
-// adjacency rows as equal (builders recycle rows, NewBall leaves them nil).
-func sameBall(a, b *Ball) bool {
-	if a.Radius != b.Radius || len(a.Verts) != len(b.Verts) {
-		return false
+// skeletonMismatch compares st's radius-r window with b, the radius-r ball
+// a BallBuilder or NewBall gathers on g: the same vertices in the same
+// discovery order, their distances and true degrees, the frontier boundary,
+// and the completeness bit. It returns "" when they agree, else what
+// differs.
+func skeletonMismatch(g Graph, st *AtlasBall, b *Ball) string {
+	r := b.Radius
+	if st == nil || !st.serves(r) {
+		return fmt.Sprintf("snapshot %+v cannot serve radius %d", st, r)
 	}
-	for i := range a.Verts {
-		if a.Verts[i] != b.Verts[i] || a.Dist[i] != b.Dist[i] {
-			return false
+	end := st.SizeAt(r)
+	if end != len(b.Verts) {
+		return fmt.Sprintf("size %d, ball has %d", end, len(b.Verts))
+	}
+	interior := 0
+	for i, v := range b.Verts {
+		if st.Verts[i] != v || st.Dist[i] != b.Dist[i] || st.Degs[i] != g.Degree(v) {
+			return fmt.Sprintf("local vertex %d: (%d, dist %d, deg %d), ball has (%d, dist %d, deg %d)",
+				i, st.Verts[i], st.Dist[i], st.Degs[i], v, b.Dist[i], g.Degree(v))
 		}
-		ra, rb := a.Adj[i], b.Adj[i]
-		if len(ra) != len(rb) {
-			return false
-		}
-		for k := range ra {
-			if ra[k] != rb[k] {
-				return false
-			}
+		if b.Dist[i] < r {
+			interior++
 		}
 	}
-	return true
+	if fs := st.FrontierStartAt(r); fs != interior {
+		return fmt.Sprintf("frontier starts at %d, ball's at %d", fs, interior)
+	}
+	complete := true
+	for i := interior; i < end; i++ {
+		complete = complete && b.DegreeWithin(i) == g.Degree(b.Verts[i])
+	}
+	if st.CompleteAt(r) != complete {
+		return fmt.Sprintf("CompleteAt = %v, ball complete = %v", st.CompleteAt(r), complete)
+	}
+	return ""
 }
 
 // TestAtlasMatchesBuilder is the structural half of the atlas guarantee:
 // for every family, centre, and radius (past the eccentricity), the
-// atlas-served ball is byte-identical to a BallBuilder grown step by step.
+// skeleton's window agrees with a BallBuilder grown step by step.
 func TestAtlasMatchesBuilder(t *testing.T) {
 	for name, g := range atlasTestFamilies(t) {
 		atlas := NewBallAtlas(g, 0)
@@ -81,13 +96,8 @@ func TestAtlasMatchesBuilder(t *testing.T) {
 				if r > 0 {
 					bb.Grow()
 				}
-				got := atlas.BallAt(v, r)
-				if got == nil {
-					t.Fatalf("%s: atlas capped unexpectedly at v=%d r=%d", name, v, r)
-				}
-				if !sameBall(got, bb.Ball()) {
-					t.Fatalf("%s: atlas ball differs at v=%d r=%d\natlas:   %+v\nbuilder: %+v",
-						name, v, r, got, bb.Ball())
+				if diff := skeletonMismatch(g, atlas.Ensure(v, r), bb.Ball()); diff != "" {
+					t.Fatalf("%s: v=%d r=%d: %s", name, v, r, diff)
 				}
 			}
 		}
@@ -103,10 +113,8 @@ func TestAtlasMatchesNewBall(t *testing.T) {
 		for trial := 0; trial < 50; trial++ {
 			v := rng.Intn(g.N())
 			r := rng.Intn(g.N() + 3)
-			want := NewBall(g, v, r)
-			got := atlas.BallAt(v, r)
-			if got == nil || !sameBall(got, want) {
-				t.Fatalf("%s: atlas ball differs from NewBall at v=%d r=%d", name, v, r)
+			if diff := skeletonMismatch(g, atlas.Ensure(v, r), NewBall(g, v, r)); diff != "" {
+				t.Fatalf("%s: v=%d r=%d vs NewBall: %s", name, v, r, diff)
 			}
 		}
 	}
@@ -168,8 +176,8 @@ func TestAtlasMemCap(t *testing.T) {
 	if atlas.Ensure(0, st.MaxRadius+1) != nil {
 		t.Fatal("exhaustion is terminal: no further growth")
 	}
-	if atlas.BallAt(9, 3) != nil {
-		t.Fatal("BallAt on an exhausted atlas must return nil")
+	if atlas.Ensure(9, 3) != nil {
+		t.Fatal("an exhausted atlas must not materialise a new centre")
 	}
 }
 
@@ -221,8 +229,8 @@ func TestAtlasConcurrentGrowth(t *testing.T) {
 			if r > 0 {
 				bb.Grow()
 			}
-			if got := atlas.BallAt(v, r); !sameBall(got, bb.Ball()) {
-				t.Fatalf("post-hammer mismatch at v=%d r=%d", v, r)
+			if diff := skeletonMismatch(g, atlas.Ensure(v, r), bb.Ball()); diff != "" {
+				t.Fatalf("post-hammer mismatch at v=%d r=%d: %s", v, r, diff)
 			}
 		}
 	}

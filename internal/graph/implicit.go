@@ -41,8 +41,8 @@ var (
 // for the family but is NOT required to match BFS discovery order: every
 // kernel in the repository scans layer windows for existence/extrema, so
 // decisions and radii are order-independent within a layer. Code that needs
-// the exact discovery order (adjacency rows, view-path ball clones) must
-// use a materialised BallAtlas instead.
+// the exact discovery order must use a materialised BallAtlas or a
+// BallBuilder instead.
 type Implicit interface {
 	Graph
 	// ImplicitFamily names the family for diagnostics ("cycle", "path").
@@ -70,10 +70,10 @@ func ImplicitFamilies() []string {
 }
 
 // ImplicitBalls synthesizes AtlasBall skeletons for an Implicit family:
-// layer membership from AppendLayer, own-degrees from DistTo, completeness
-// from the first empty layer — semantically identical to what a BallAtlas
-// materialises, field for field, with O(ball) work and O(largest ball
-// served) memory in total. It is the implicit backend's BallSource: one per
+// layer membership from AppendLayer, layer completeness from DistTo,
+// component completeness from the first empty layer — semantically
+// identical to what a BallAtlas materialises, field for field, with
+// O(ball) work and O(largest ball served) memory in total. It is the implicit backend's BallSource: one per
 // worker, zero shared state, no adjacency anywhere.
 //
 // Unlike a BallAtlas, the snapshot is a single reusable scratch: Ensure
@@ -123,14 +123,13 @@ func (s *ImplicitBalls) reset(center int) {
 	b.Dist = append(b.Dist[:0], 0)
 	b.Degs = append(b.Degs[:0], deg)
 	b.LayerEnd = append(b.LayerEnd[:0], 1)
-	b.ownDeg = append(b.ownDeg[:0], 0)
 	b.layerFull = append(b.layerFull[:0], deg == 0)
 }
 
 // growLayer synthesizes the next layer, mirroring BallAtlas.grow exactly:
-// distances and true degrees per new vertex, the vertex's own induced
-// degree (neighbours at distance <= its own radius), the layer's
-// completeness bit, and component completeness on the first empty layer.
+// distances and true degrees per new vertex, the layer's completeness bit
+// (no vertex of the layer has a neighbour beyond it), and component
+// completeness on the first empty layer.
 func (s *ImplicitBalls) growLayer() {
 	g, c, b := s.g, s.center, &s.ball
 	r := b.MaxRadius + 1
@@ -146,14 +145,11 @@ func (s *ImplicitBalls) growLayer() {
 		deg := g.Degree(v)
 		b.Dist = append(b.Dist, r)
 		b.Degs = append(b.Degs, deg)
-		var own int32
-		for p := 0; p < deg; p++ {
-			if g.DistTo(c, g.Neighbor(v, p)) <= r {
-				own++
-			}
+		// The layer is full until one of its vertices shows a neighbour
+		// outside the ball; after that, no neighbour needs a look.
+		for p := 0; full && p < deg; p++ {
+			full = g.DistTo(c, g.Neighbor(v, p)) <= r
 		}
-		b.ownDeg = append(b.ownDeg, own)
-		full = full && int(own) == deg
 	}
 	b.layerFull = append(b.layerFull, full)
 	b.LayerEnd = append(b.LayerEnd, len(b.Verts))

@@ -116,9 +116,8 @@ func TestImplicitLayerFuzz(t *testing.T) {
 
 // TestImplicitBallsMatchAtlas compares the synthesized skeleton against the
 // materialised atlas, field for field at every (centre, radius) the sweep
-// engine can ask for: sizes, frontier boundaries, completeness bits, and
-// per-vertex (dist, degree, own-degree) triples, and the layer order
-// itself.
+// engine can ask for: sizes, frontier boundaries, completeness bits,
+// per-vertex (dist, degree) pairs, and the layer order itself.
 func TestImplicitBallsMatchAtlas(t *testing.T) {
 	for name, g := range implicitTestFamilies() {
 		atlas := NewBallAtlas(g, -1)
@@ -146,12 +145,12 @@ func TestImplicitBallsMatchAtlas(t *testing.T) {
 							name, c, r, i, ib.Verts[i], ab.Verts[i])
 					}
 				}
-				type attrs struct{ dist, deg, own int }
+				type attrs struct{ dist, deg int }
 				got := make(map[int]attrs, end)
 				want := make(map[int]attrs, end)
 				for i := 0; i < end; i++ {
-					got[ib.Verts[i]] = attrs{ib.Dist[i], ib.Degs[i], ib.OwnDeg(i)}
-					want[ab.Verts[i]] = attrs{ab.Dist[i], ab.Degs[i], ab.OwnDeg(i)}
+					got[ib.Verts[i]] = attrs{ib.Dist[i], ib.Degs[i]}
+					want[ab.Verts[i]] = attrs{ab.Dist[i], ab.Degs[i]}
 				}
 				for v, w := range want {
 					if got[v] != w {

@@ -10,17 +10,17 @@ import (
 
 // Kernel is the optional flat fast path of the view engine. A ViewAlgorithm
 // may additionally implement it to compute every vertex's output and
-// stopping radius in one pass over a shared atlas skeleton — no View
-// objects, no per-vertex relabel scratch, no interface call per radius
-// increment. Decisions like largest-ID pruning reduce to argmax scans over
-// atlas prefix windows, so the kernel form is a tight loop over the
-// skeleton's flat arrays.
+// stopping radius in one pass — no View objects, no per-vertex relabel
+// scratch, no interface call per radius increment. Decisions like
+// largest-ID pruning reduce to argmax scans over the prefix windows of a
+// ball source's skeletons; ring kernels read the assignment directly.
 //
-// A Runner with an atlas attached detects the interface and dispatches to
-// it; results must be byte-identical to the view path (the engine's
-// equivalence suites enforce this for every kernel in the repository).
-// Builder-path runs, MessageAlgorithm runs, runs with a WithProgress
-// observer, and runs under WithoutKernels never consult the interface.
+// A Runner with a ball source attached for the graph under execution
+// detects the interface and dispatches to it; results must be
+// byte-identical to the view path (the engine's equivalence suites enforce
+// this for every kernel in the repository). Runs without a matching
+// source, MessageAlgorithm runs, runs with a WithProgress observer, and
+// runs under WithoutKernels never consult the interface.
 type Kernel interface {
 	// DecideAll fills run.Outs and run.Radii for every vertex, marking
 	// vertices it cannot serve (the atlas hit its memory cap mid-growth)
@@ -35,15 +35,15 @@ type Kernel interface {
 const KernelUnserved = -1
 
 // KernelRun carries one flat pass's inputs and outputs. Outs and Radii
-// alias the engine's result buffers; Assign and the atlas are shared and
+// alias the engine's result buffers; Assign and the source are shared and
 // read-only.
 type KernelRun struct {
 	// Atlas is the ball source of the graph under execution — a shared
 	// *graph.BallAtlas on the materialised path, a per-worker
 	// *graph.ImplicitBalls on the implicit one. Kernels grow it with
-	// Ensure exactly like the view path; a nil snapshot means the source
-	// cannot serve the vertex (memory-capped atlas) and the kernel marks
-	// it KernelUnserved. Snapshots must be re-read after every Ensure and
+	// Ensure radius by radius; a nil snapshot means the source cannot
+	// serve the vertex (memory-capped atlas) and the kernel marks it
+	// KernelUnserved. Ring kernels read only its Graph. Snapshots must be re-read after every Ensure and
 	// never retained across centres: implicit sources reuse one scratch
 	// snapshot per centre.
 	Atlas graph.BallSource

@@ -17,25 +17,71 @@ import (
 
 var errMismatch = errors.New("racy run diverged from reference result")
 
+// equivFamilies is the graph zoo of the kernel equivalence suites.
+func equivFamilies(t *testing.T) []struct {
+	name string
+	g    graph.Graph
+} {
+	t.Helper()
+	rng := rand.New(rand.NewSource(19))
+	tree, err := graph.NewRandomTree(40, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid, err := graph.NewGrid(5, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gnp, err := graph.NewGNP(32, 0.1, rng) // likely disconnected: component balls
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []struct {
+		name string
+		g    graph.Graph
+	}{
+		{"path", graph.MustPath(33)},
+		{"cycle", graph.MustCycle(32)},
+		{"tree", tree},
+		{"grid", grid},
+		{"gnp", gnp},
+	}
+}
+
+// sameResult compares two executions field by field.
+func sameResult(a, b *local.Result) bool {
+	if a.Algorithm != b.Algorithm || len(a.Outputs) != len(b.Outputs) {
+		return false
+	}
+	for v := range a.Outputs {
+		if a.Outputs[v] != b.Outputs[v] || a.Radii[v] != b.Radii[v] {
+			return false
+		}
+	}
+	return true
+}
+
 // TestKernelMatchesViewPath is the engine half of the kernel guarantee:
 // for every kernel-capable algorithm, one flat DecideAll pass produces
-// byte-identical Results to the per-vertex view path (kernels forced off)
-// and to the builder path (no atlas at all), across the graph zoo.
+// byte-identical Results to the per-vertex view path (kernels forced off,
+// source attached) and to a Runner with no source at all, across the graph
+// zoo.
 func TestKernelMatchesViewPath(t *testing.T) {
 	for _, fam := range equivFamilies(t) {
 		n := fam.g.N()
 		atlas := graph.NewBallAtlas(fam.g, 0)
 		kernelRunner := local.NewRunner()
-		kernelRunner.SetAtlas(atlas)
+		kernelRunner.SetSource(atlas)
 		viewRunner := local.NewRunner()
-		viewRunner.SetAtlas(atlas)
+		viewRunner.SetSource(atlas)
 		rng := rand.New(rand.NewSource(47))
-		algs := []local.ViewAlgorithm{largestid.Pruning{}, largestid.FullView{}}
-		if _, isRing := fam.g.(graph.Cycle); isRing {
-			algs = append(algs, coloring.Uniform{})
-		}
+		_, isRing := fam.g.(graph.Cycle)
 		for trial := 0; trial < 6; trial++ {
 			a := ids.Random(n, rng)
+			algs := []local.ViewAlgorithm{largestid.Pruning{}, largestid.FullView{}}
+			if isRing {
+				algs = append(algs, coloring.Uniform{}, coloring.ForMaxID(a.MaxID()))
+			}
 			for _, alg := range algs {
 				if _, ok := alg.(local.Kernel); !ok {
 					t.Fatalf("%s does not implement local.Kernel", alg.Name())
@@ -49,7 +95,7 @@ func TestKernelMatchesViewPath(t *testing.T) {
 					t.Fatalf("%s/%s view path: %v", fam.name, alg.Name(), err)
 				}
 				if !sameResult(viewPath, builder) {
-					t.Fatalf("%s/%s trial %d: atlas view path differs from builder", fam.name, alg.Name(), trial)
+					t.Fatalf("%s/%s trial %d: view path with a source attached differs from builder", fam.name, alg.Name(), trial)
 				}
 				kernel, err := kernelRunner.Run(fam.g, a, alg)
 				if err != nil {
@@ -72,7 +118,7 @@ func TestKernelCapFallback(t *testing.T) {
 	for _, alg := range []local.ViewAlgorithm{largestid.Pruning{}, largestid.FullView{}} {
 		atlas := graph.NewBallAtlas(c, 2048) // forces mid-pass exhaustion
 		runner := local.NewRunner()
-		runner.SetAtlas(atlas)
+		runner.SetSource(atlas)
 		for trial := 0; trial < 4; trial++ {
 			a := ids.Random(96, rng)
 			want, err := local.RunView(c, a, alg)
@@ -100,7 +146,7 @@ func TestKernelMaxRadiusError(t *testing.T) {
 	a := ids.Identity(32)
 	atlas := graph.NewBallAtlas(c, 0)
 	runner := local.NewRunner()
-	runner.SetAtlas(atlas)
+	runner.SetSource(atlas)
 	_, kerr := runner.Run(c, a, largestid.FullView{}, local.WithMaxRadius(2))
 	_, verr := runner.Run(c, a, largestid.FullView{}, local.WithMaxRadius(2), local.WithoutKernels())
 	if kerr == nil || verr == nil {
@@ -143,7 +189,7 @@ func TestKernelObserverUsesViewPath(t *testing.T) {
 	a := ids.Random(24, rand.New(rand.NewSource(3)))
 	atlas := graph.NewBallAtlas(c, 0)
 	runner := local.NewRunner()
-	runner.SetAtlas(atlas)
+	runner.SetSource(atlas)
 	events := 0
 	res, err := runner.Run(c, a, largestid.Pruning{}, local.WithProgress(func(local.Progress) { events++ }))
 	if err != nil {
@@ -182,7 +228,7 @@ func TestKernelSharedAtlasRace(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			runner := local.NewRunner()
-			runner.SetAtlas(atlas)
+			runner.SetSource(atlas)
 			rng := rand.New(rand.NewSource(seed))
 			for trial := 0; trial < 6; trial++ {
 				a := ids.Random(128, rng)
@@ -205,5 +251,25 @@ func TestKernelSharedAtlasRace(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestRunnerAtlasWrongGraphIgnored: an attached atlas for a different graph
+// must be ignored, not misused.
+func TestRunnerAtlasWrongGraphIgnored(t *testing.T) {
+	c1, c2 := graph.MustCycle(16), graph.MustCycle(24)
+	runner := local.NewRunner()
+	runner.SetSource(graph.NewBallAtlas(c1, 0))
+	a := ids.Reversed(24)
+	want, err := local.RunView(c2, a, largestid.Pruning{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := runner.Run(c2, a, largestid.Pruning{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameResult(got, want) {
+		t.Fatal("mismatched atlas corrupted the run")
 	}
 }

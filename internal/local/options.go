@@ -72,10 +72,11 @@ func WithContext(ctx context.Context) Option {
 	}
 }
 
-// WithoutKernels pins an atlas-backed run to the per-vertex view path even
-// when the algorithm implements Kernel. Results are byte-identical either
-// way; the toggle exists for A/B profiling and perf bisection (cmd/avgbench
-// exposes it as -nokernels).
+// WithoutKernels pins a run to the per-vertex view path even when the
+// algorithm implements Kernel and a ball source is attached. Results are
+// byte-identical either way; the view path is the oracle every kernel is
+// tested against, and the toggle exists for that and for A/B profiling
+// (cmd/avgbench exposes it as -nokernels).
 func WithoutKernels() Option {
 	return func(c *config) {
 		c.noKernels = true

@@ -20,34 +20,21 @@ import (
 // slices (RunView does exactly that ownership hand-off by dropping the
 // Runner).
 //
-// With SetAtlas, a Runner additionally serves views from a shared
-// graph.BallAtlas: ball structure is permutation-invariant, so per-trial
-// work shrinks to relabelling identifiers over atlas prefix windows plus
-// the algorithm's own decisions — no BFS, no adjacency rebuild, no degree
-// lookups. If the algorithm also implements Kernel, the whole run
-// collapses further into one flat DecideAll pass over the skeleton (see
-// Kernel; WithoutKernels pins the view path). Results are byte-identical
-// to the builder path either way.
+// Every view comes from the ball builder. With SetSource, a Runner also
+// hands kernel-capable algorithms (see Kernel) a shared ball source for
+// one flat DecideAll pass over its skeletons; WithoutKernels pins the view
+// path. Results are byte-identical either way.
 type Runner struct {
 	bb *graph.BallBuilder
 	// src is the attached ball source serving kernel runs: a shared
-	// *graph.BallAtlas (SetAtlas) or any other graph.BallSource such as a
-	// per-worker implicit synthesizer (SetSource).
+	// *graph.BallAtlas or a per-worker *graph.ImplicitBalls.
 	src graph.BallSource
-	// atlas is src when it is a materialised *graph.BallAtlas, nil
-	// otherwise. Only a materialised atlas can serve the per-vertex VIEW
-	// path (views enumerate adjacency rows, which synthesized skeletons do
-	// not carry); non-kernel runs under any other source use the ball
-	// builder — byte-identical, just without the shared-layer speedup.
-	atlas *graph.BallAtlas
 	// srcG is the source's graph when that graph is comparable, nil
 	// otherwise — precomputed by SetSource so the per-run source check is a
 	// single interface comparison (always safe: srcG's dynamic type is
 	// comparable, and comparing against a value of any other type answers
 	// false without inspecting the data).
 	srcG    graph.Graph
-	aball   graph.Ball // scratch ball whose slices window the atlas
-	av      atlasView  // scratch atlas context referenced by served views
 	ids     []int
 	degrees []int
 	res     Result
@@ -65,26 +52,12 @@ type Runner struct {
 // NewRunner returns an empty Runner; buffers are grown on first use.
 func NewRunner() *Runner { return &Runner{} }
 
-// SetAtlas attaches a shared ball atlas (nil detaches). The atlas is used
-// only when its graph is the one passed to Run; vertices the atlas cannot
-// serve (memory cap) transparently fall back to the ball-builder path.
-func (r *Runner) SetAtlas(a *graph.BallAtlas) {
-	if a == nil {
-		r.SetSource(nil)
-		return
-	}
-	r.SetSource(a)
-}
-
-// SetSource attaches any ball source (nil detaches). A *graph.BallAtlas
-// serves both the kernel fast path and the per-vertex view path; every
-// other source (implicit synthesizers) serves kernels only — non-kernel
-// runs need adjacency rows, which only a materialised atlas carries, and
-// fall back to the ball builder. The source is consulted only when its
-// graph is the one passed to Run.
+// SetSource attaches a ball source for kernel runs (nil detaches). The
+// source is consulted only when its graph is the one passed to Run; every
+// per-vertex view, and every vertex a kernel leaves unserved, runs on the
+// ball builder.
 func (r *Runner) SetSource(src graph.BallSource) {
 	r.src = src
-	r.atlas, _ = src.(*graph.BallAtlas)
 	r.srcG = nil
 	if src != nil {
 		// Interface equality panics for non-comparable dynamic graph
@@ -122,8 +95,7 @@ func (r *Runner) Run(g graph.Graph, a ids.Assignment, alg ViewAlgorithm, opts ..
 	r.res.Algorithm = alg.Name()
 	r.res.Outputs = resizeInts(r.res.Outputs, n)
 	r.res.Radii = resizeInts(r.res.Radii, n)
-	useSrc := g == r.srcG
-	if useSrc && !cfg.noKernels && cfg.observer == nil {
+	if g == r.srcG && !cfg.noKernels && cfg.observer == nil {
 		// Kernel fast path: one flat pass over the source's skeletons.
 		// Progress observers need the per-radius callbacks only the view
 		// path makes, so their runs stay there.
@@ -137,26 +109,13 @@ func (r *Runner) Run(g graph.Graph, a ids.Assignment, alg ViewAlgorithm, opts ..
 			}
 		}
 	}
-	// The view path reads adjacency rows, so it is served only from a
-	// materialised atlas; other sources degrade to the ball builder.
-	useAtlas := useSrc && r.atlas != nil
 	for v := 0; v < n; v++ {
 		if cfg.ctx != nil && v&0xff == 0 {
 			if err := cfg.ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		var (
-			out, rad int
-			err      error
-			served   bool
-		)
-		if useAtlas {
-			out, rad, served, err = r.runVertexAtlas(a, alg, v, cfg)
-		}
-		if !served && err == nil {
-			out, rad, err = r.runVertex(g, a, alg, v, cfg)
-		}
+		out, rad, err := r.runVertex(g, a, alg, v, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -166,10 +125,9 @@ func (r *Runner) Run(g graph.Graph, a ids.Assignment, alg ViewAlgorithm, opts ..
 	return &r.res, nil
 }
 
-// runKernel executes alg's flat kernel over the attached atlas and reruns
+// runKernel executes alg's flat kernel over the attached source and reruns
 // any vertices the kernel marked unserved (memory-capped atlas) on the
-// ball-builder path — the same per-vertex degradation the view path
-// applies. served=false means the kernel declined the graph entirely and
+// ball-builder path. served=false means the kernel declined the graph entirely and
 // the caller must run the view path.
 func (r *Runner) runKernel(g graph.Graph, a ids.Assignment, alg ViewAlgorithm, k Kernel, cfg config) (served bool, err error) {
 	// The pass context lives on the Runner: passing a stack-local struct
@@ -203,56 +161,6 @@ func (r *Runner) runKernel(g graph.Graph, a ids.Assignment, alg ViewAlgorithm, k
 		r.res.Radii[v] = rad
 	}
 	return true, nil
-}
-
-// runVertexAtlas is runVertex served from the shared atlas: the ball's
-// Verts/Dist arrays are prefix windows of the centre's atlas skeleton,
-// degrees alias the skeleton, degree/completeness queries answer from the
-// precomputed own-degrees, and adjacency rows materialise in the atlas
-// only if the algorithm enumerates edges — so the per-radius work is just
-// relabelling the new layer's identifiers and the algorithm's own Decide.
-// served=false (with err=nil) means the atlas hit its memory cap and the
-// caller must rerun the vertex on the builder path; a WithProgress
-// observer may then see the abandoned attempt's early radii twice.
-func (r *Runner) runVertexAtlas(a ids.Assignment, alg ViewAlgorithm, v int, cfg config) (out, radius int, served bool, err error) {
-	st := r.atlas.Ensure(v, 0)
-	if st == nil {
-		return 0, 0, false, nil
-	}
-	ball := &r.aball
-	ball.Radius = 0
-	ball.Verts = st.Verts[:1]
-	ball.Dist = st.Dist[:1]
-	ball.Adj = nil
-	r.av = atlasView{st: st, atlas: r.atlas, assign: a, center: v, centerID: a[v]}
-	view := View{ball: ball, frontierStart: 0, av: &r.av}
-	view.degrees = st.Degs[:1]
-	for {
-		out, done := alg.Decide(view)
-		if cfg.observer != nil {
-			cfg.observer(Progress{Vertex: v, Radius: ball.Radius, Decided: done})
-		}
-		if done {
-			return out, ball.Radius, true, nil
-		}
-		if ball.Radius >= cfg.maxRadius {
-			return 0, 0, true, fmt.Errorf("local: %s undecided at vertex %d after radius %d", alg.Name(), v, cfg.maxRadius)
-		}
-		newR := ball.Radius + 1
-		if !st.Complete && newR > st.MaxRadius {
-			if st = r.atlas.Ensure(v, newR); st == nil {
-				return 0, 0, false, nil
-			}
-			r.av.st = st
-		}
-		prevEnd := len(ball.Verts)
-		newEnd := st.SizeAt(newR)
-		ball.Verts = st.Verts[:newEnd]
-		ball.Dist = st.Dist[:newEnd]
-		ball.Radius = newR
-		view.frontierStart = prevEnd
-		view.degrees = st.Degs[:newEnd]
-	}
 }
 
 // runVertex grows vertex v's view until alg decides, reusing the Runner's

@@ -38,7 +38,7 @@ func TestRunnerImplicitSourceMatchesBuilder(t *testing.T) {
 		implicitRunner := local.NewRunner()
 		implicitRunner.SetSource(graph.NewImplicitBalls(fam.g))
 		atlasRunner := local.NewRunner()
-		atlasRunner.SetAtlas(graph.NewBallAtlas(fam.g, 0))
+		atlasRunner.SetSource(graph.NewBallAtlas(fam.g, 0))
 		algs := []local.ViewAlgorithm{largestid.Pruning{}, largestid.FullView{}}
 		if _, ok := fam.g.(graph.Cycle); ok {
 			algs = append(algs, coloring.Uniform{})
@@ -70,10 +70,10 @@ func TestRunnerImplicitSourceMatchesBuilder(t *testing.T) {
 	}
 }
 
-// TestRunnerImplicitSourceViewPath pins the degradation contract: an
-// implicit source cannot serve the per-vertex view path (no adjacency rows),
-// so WithoutKernels runs under an implicit source must silently take the
-// ball-builder path and still match the baseline byte for byte.
+// TestRunnerImplicitSourceViewPath pins the view-path contract: a source
+// serves kernels only, so WithoutKernels runs under an implicit source take
+// the ball-builder path like every view and match the baseline byte for
+// byte.
 func TestRunnerImplicitSourceViewPath(t *testing.T) {
 	g := graph.MustPath(20)
 	runner := local.NewRunner()

@@ -41,29 +41,6 @@ type View struct {
 	// the current radius; algorithms that only need to inspect newly
 	// revealed vertices can start there.
 	frontierStart int
-
-	// Atlas-backed mode (av != nil): ball's Verts/Dist are prefix windows
-	// over the shared atlas skeleton and ball.Adj is nil; degree queries
-	// answer from the skeleton (interior vertices show their true degree,
-	// frontier vertices their own-radius induced degree) and adjacency
-	// rows materialise in the atlas on first Neighbors/Canonical/Clone
-	// access. Semantics are byte-identical to the builder-backed mode.
-	// The pointed-to struct is runner-owned scratch, mutated between
-	// Decide calls like the ball — one more reason views must not be
-	// retained.
-	av *atlasView
-}
-
-// atlasView is the runner-owned atlas context of an atlas-backed view.
-// assign/centerID make identifier relabelling implicit: ID(i) reads the
-// trial's assignment through the skeleton's vertex names, so a trial never
-// copies identifier slices at all.
-type atlasView struct {
-	st       *graph.AtlasBall
-	atlas    *graph.BallAtlas
-	assign   ids.Assignment
-	center   int
-	centerID int
 }
 
 // Radius reports the gathering radius of the view.
@@ -73,37 +50,17 @@ func (v View) Radius() int { return v.ball.Radius }
 func (v View) Size() int { return v.ball.Size() }
 
 // CenterID returns the identifier of the viewing vertex.
-func (v View) CenterID() int {
-	if v.av != nil {
-		return v.av.centerID
-	}
-	return v.ids[0]
-}
+func (v View) CenterID() int { return v.ids[0] }
 
 // ID returns the identifier of local vertex i.
-func (v View) ID(i int) int {
-	if v.av != nil {
-		return v.av.assign[v.av.st.Verts[i]]
-	}
-	return v.ids[i]
-}
+func (v View) ID(i int) int { return v.ids[i] }
 
 // MaxIDIn returns the largest identifier among local vertices [from, to),
 // or -1 when the range is empty. It is the bulk form of ID for scan-heavy
 // algorithms (largest-ID pruning checks its whole frontier every radius):
-// one call hoists the per-element indirection of both view modes out of
-// the loop.
+// one call replaces a method call per element.
 func (v View) MaxIDIn(from, to int) int {
 	max := -1
-	if v.av != nil {
-		assign := v.av.assign
-		for _, w := range v.av.st.Verts[from:to] {
-			if id := assign[w]; id > max {
-				max = id
-			}
-		}
-		return max
-	}
 	for _, id := range v.ids[from:to] {
 		if id > max {
 			max = id
@@ -116,17 +73,7 @@ func (v View) MaxIDIn(from, to int) int {
 func (v View) Dist(i int) int { return v.ball.Dist[i] }
 
 // DegreeWithin returns the degree of local vertex i inside the view.
-func (v View) DegreeWithin(i int) int {
-	if v.av != nil {
-		if i >= v.frontierStart {
-			return v.av.st.OwnDeg(i)
-		}
-		// Interior vertices show every edge: all their neighbours are
-		// within the radius, so the induced degree is the true degree.
-		return v.degrees[i]
-	}
-	return v.ball.DegreeWithin(i)
-}
+func (v View) DegreeWithin(i int) int { return v.ball.DegreeWithin(i) }
 
 // TrueDegree returns the actual degree of local vertex i in the underlying
 // graph (degrees travel with identifiers in the LOCAL model).
@@ -142,11 +89,6 @@ func (v View) TrueDegree(i int) int { return v.degrees[i] }
 // the check O(frontier) so that radius-growth loops stay linear in the
 // final ball size.
 func (v View) Complete() bool {
-	if v.av != nil {
-		// Completeness is a graph property, precomputed per layer during
-		// atlas growth: an O(1) lookup.
-		return v.av.st.CompleteAt(v.ball.Radius)
-	}
 	for i := v.frontierStart; i < v.Size(); i++ {
 		if v.ball.DegreeWithin(i) != v.degrees[i] {
 			return false
@@ -157,16 +99,7 @@ func (v View) Complete() bool {
 
 // Neighbors returns the local indices adjacent to local vertex i, in i's
 // port order. The returned slice is engine-owned; do not modify.
-func (v View) Neighbors(i int) []int {
-	if v.av != nil {
-		rows := v.av.atlas.RowsFor(v.av.center, v.Size(), v.frontierStart)
-		if i >= v.frontierStart {
-			return rows.OwnRow(i)
-		}
-		return rows.FullRow(i)
-	}
-	return v.ball.Adj[i]
-}
+func (v View) Neighbors(i int) []int { return v.ball.Adj[i] }
 
 // FrontierStart returns the local index of the first vertex discovered at
 // the current radius. Equal to Size() when the last Grow added nothing.
@@ -175,55 +108,13 @@ func (v View) FrontierStart() int { return v.frontierStart }
 // Closed reports whether every visible vertex has degree k within the view.
 // On a family of connected k-regular graphs (cycles: k=2) this certifies
 // that the view is the entire graph.
-func (v View) Closed(k int) bool {
-	if v.av != nil {
-		for i := 0; i < v.frontierStart; i++ {
-			if v.degrees[i] != k {
-				return false
-			}
-		}
-		for i := v.frontierStart; i < v.Size(); i++ {
-			if v.av.st.OwnDeg(i) != k {
-				return false
-			}
-		}
-		return true
-	}
-	return v.ball.AllDegreesWithin(k)
-}
+func (v View) Closed(k int) bool { return v.ball.AllDegreesWithin(k) }
 
 // Clone returns a deep copy of the view that remains valid after Decide
 // returns. Algorithms must not retain the View they are handed — the engine
 // recycles its storage across radii and across vertices — so any probe or
 // instrumentation that wants to keep a view must keep a Clone.
 func (v View) Clone() View {
-	if v.av != nil {
-		// Materialise a standalone builder-style view: the clone must stay
-		// valid without pinning the atlas.
-		size := v.Size()
-		rows := v.av.atlas.RowsFor(v.av.center, size, v.frontierStart)
-		ball := &graph.Ball{
-			Radius: v.ball.Radius,
-			Verts:  append([]int(nil), v.ball.Verts...),
-			Dist:   append([]int(nil), v.ball.Dist...),
-			Adj:    make([][]int, size),
-		}
-		idsOut := make([]int, size)
-		for i := 0; i < size; i++ {
-			idsOut[i] = v.av.assign[ball.Verts[i]]
-			if i >= v.frontierStart {
-				ball.Adj[i] = append([]int(nil), rows.OwnRow(i)...)
-			} else {
-				ball.Adj[i] = append([]int(nil), rows.FullRow(i)...)
-			}
-		}
-		return View{
-			ball:          ball,
-			ids:           idsOut,
-			degrees:       append([]int(nil), v.degrees...),
-			frontierStart: v.frontierStart,
-		}
-	}
 	return View{
 		ball:          v.ball.Clone(),
 		ids:           append([]int(nil), v.ids...),
@@ -236,10 +127,6 @@ func (v View) Clone() View {
 // string; two vertices with isomorphic ID-labelled balls canonicalise
 // identically.
 func (v View) Canonical() string {
-	if v.av != nil {
-		// Rare path: materialise the adjacency and canonicalise the copy.
-		return v.Clone().Canonical()
-	}
 	// The ball canonicaliser asks for IDs by original vertex name; build
 	// the orig->local index once so canonicalisation stays O(size), not
 	// O(size²) via a per-vertex scan of Verts.

@@ -34,8 +34,9 @@ func implicitFamilySpecs() []struct {
 }
 
 // TestBackendsByteIdentical is the cross-backend acceptance hold: for every
-// implicit family, algorithm and worker count, the implicit, atlas and
-// builder backends produce byte-identical aggregates under equal seeds.
+// implicit family, algorithm and worker count, the implicit and atlas
+// backends, with kernels on and off, produce byte-identical aggregates
+// under equal seeds.
 func TestBackendsByteIdentical(t *testing.T) {
 	algs := []struct {
 		name string
@@ -48,30 +49,33 @@ func TestBackendsByteIdentical(t *testing.T) {
 		for _, al := range algs {
 			alg := al.alg
 			base := Spec{
-				Seed:    53,
-				Sizes:   fam.sizes,
-				Trials:  5,
-				Graph:   fam.build,
-				Alg:     func(int, ids.Assignment) local.ViewAlgorithm { return alg },
-				Workers: 1,
-				Backend: BackendBuilder,
+				Seed:      53,
+				Sizes:     fam.sizes,
+				Trials:    5,
+				Graph:     fam.build,
+				Alg:       func(int, ids.Assignment) local.ViewAlgorithm { return alg },
+				Workers:   1,
+				NoKernels: true,
 			}
 			want, err := Run(context.Background(), base)
 			if err != nil {
 				t.Fatalf("%s/%s builder: %v", fam.name, al.name, err)
 			}
-			for _, backend := range []Backend{BackendAtlas, BackendBuilder, BackendImplicit} {
-				for _, workers := range []int{1, 4, runtime.NumCPU()} {
-					spec := base
-					spec.Backend = backend
-					spec.Workers = workers
-					got, err := Run(context.Background(), spec)
-					if err != nil {
-						t.Fatalf("%s/%s %s workers=%d: %v", fam.name, al.name, backend, workers, err)
-					}
-					if !reflect.DeepEqual(want, got) {
-						t.Errorf("%s/%s %s workers=%d: aggregates diverge from builder",
-							fam.name, al.name, backend, workers)
+			for _, backend := range []Backend{BackendAtlas, BackendImplicit} {
+				for _, noKernels := range []bool{false, true} {
+					for _, workers := range []int{1, 4, runtime.NumCPU()} {
+						spec := base
+						spec.Backend = backend
+						spec.NoKernels = noKernels
+						spec.Workers = workers
+						got, err := Run(context.Background(), spec)
+						if err != nil {
+							t.Fatalf("%s/%s %q nokernels=%v workers=%d: %v", fam.name, al.name, backend, noKernels, workers, err)
+						}
+						if !reflect.DeepEqual(want, got) {
+							t.Errorf("%s/%s %q nokernels=%v workers=%d: aggregates diverge from builder",
+								fam.name, al.name, backend, noKernels, workers)
+						}
 					}
 				}
 			}
@@ -110,23 +114,8 @@ func TestCappedAtlasMidSweepIdentical(t *testing.T) {
 	}
 }
 
-// TestParseBackend covers the name table and the typed unknown error.
-func TestParseBackend(t *testing.T) {
-	for _, ok := range []string{"", "atlas", "builder", "implicit"} {
-		if _, err := ParseBackend(ok); err != nil {
-			t.Errorf("ParseBackend(%q): %v", ok, err)
-		}
-	}
-	var unknown *UnknownBackendError
-	if _, err := ParseBackend("csr"); !errors.As(err, &unknown) {
-		t.Fatalf("ParseBackend(csr) = %v, want *UnknownBackendError", err)
-	} else if unknown.Name != "csr" || !strings.Contains(err.Error(), "implicit") {
-		t.Fatalf("unknown-backend error carries %+v: %v", unknown, err)
-	}
-}
-
-// TestBackendValidation covers the spec-level conflicts and the typed
-// implicit-unsupported refusal.
+// TestBackendValidation covers the typed implicit-unsupported refusal and
+// the refusal of a backend name outside the known set.
 func TestBackendValidation(t *testing.T) {
 	gnp := cycleSpec(67, []int{24}, 2, 1)
 	gnp.Backend = BackendImplicit
@@ -141,8 +130,7 @@ func TestBackendValidation(t *testing.T) {
 
 	badName := cycleSpec(67, []int{12}, 1, 1)
 	badName.Backend = Backend("fast")
-	var unknown *UnknownBackendError
-	if _, err := Run(context.Background(), badName); !errors.As(err, &unknown) {
-		t.Fatalf("unknown backend through Run = %v, want *UnknownBackendError", err)
+	if _, err := Run(context.Background(), badName); err == nil || !strings.Contains(err.Error(), `unknown backend "fast"`) {
+		t.Fatalf("unknown backend through Run = %v, want an unknown-backend error", err)
 	}
 }

@@ -184,11 +184,12 @@ func quotientAt(quotients []*ids.Quotient, i int) *ids.Quotient {
 
 // runBlock executes one contiguous block of trials at a single size and
 // folds each into the worker's shard. Batching is what amortises the
-// per-trial harness overhead: the atlas is attached once, the histogram
-// buffer is cleared once, the trial rng is reseeded instead of reallocated,
-// and (when the spec draws its own permutations) one worker-owned buffer is
-// refilled in place by ids.RandomInto. atlas (nil when disabled) is the
-// size's shared ball store; q (nil outside Spec.Quotient) is the size's
+// per-trial harness overhead: the ball source is attached once, the
+// histogram buffer is cleared once, the trial rng is reseeded instead of
+// reallocated, and (when the spec draws its own permutations) one
+// worker-owned buffer is refilled in place by ids.RandomInto. atlas (nil
+// without kernels or under the implicit backend) is the size's shared
+// ball store; q (nil outside Spec.Quotient) is the size's
 // canonical ranker. A context cancellation mid-block returns nil; the
 // caller observes the context itself.
 //
@@ -200,7 +201,8 @@ func quotientAt(quotients []*ids.Quotient, i int) *ids.Quotient {
 // enumeration's aggregate, including tie-broken extremal trial indices,
 // bit for bit.
 func (w *worker) runBlock(ctx context.Context, spec Spec, g graph.Graph, atlas *graph.BallAtlas, q *ids.Quotient, b Block) error {
-	if spec.Backend == BackendImplicit {
+	switch {
+	case spec.Backend == BackendImplicit:
 		// Run validated every graph as a comparable graph.Implicit, so the
 		// assertion and the identity comparison are both safe here.
 		if w.implG != g {
@@ -208,8 +210,11 @@ func (w *worker) runBlock(ctx context.Context, spec Spec, g graph.Graph, atlas *
 			w.implG = g
 		}
 		w.runner.SetSource(w.impl)
-	} else {
-		w.runner.SetAtlas(atlas)
+	case atlas != nil:
+		w.runner.SetSource(atlas)
+	default:
+		// No atlas (NoKernels): a nil *BallAtlas would be a non-nil source.
+		w.runner.SetSource(nil)
 	}
 	n := g.N()
 	if spec.Assign == nil && cap(w.assign) < n {

@@ -44,18 +44,15 @@ func TestExhaustiveDeterministicAcrossWorkerCounts(t *testing.T) {
 			t.Errorf("workers=%d: exhaustive aggregates differ\nseq: %+v\ngot: %+v", workers, base, got)
 		}
 	}
-	for _, noAtlas := range []bool{false, true} {
+	for _, noKernels := range []bool{false, true} {
 		spec := exhaustiveSpec(sizes, 3)
-		if noAtlas {
-			spec.Backend = BackendBuilder
-		}
-		spec.NoKernels = !noAtlas
+		spec.NoKernels = noKernels
 		got, err := Run(context.Background(), spec)
 		if err != nil {
-			t.Fatalf("noAtlas=%v: %v", noAtlas, err)
+			t.Fatalf("noKernels=%v: %v", noKernels, err)
 		}
 		if !reflect.DeepEqual(base, got) {
-			t.Errorf("noAtlas=%v noKernels=%v: aggregates differ from fast path", noAtlas, !noAtlas)
+			t.Errorf("noKernels=%v: aggregates differ from fast path", noKernels)
 		}
 	}
 }

@@ -19,16 +19,17 @@ func equivWorkerCounts() []int {
 	return []int{1, 4, runtime.NumCPU()}
 }
 
-// runConfigs executes spec under every (kernels on/off, atlas on/off,
-// worker count) configuration and demands byte-identical aggregates.
+// runConfigs executes spec under every (kernels on/off, worker count)
+// configuration and demands aggregates byte-identical to one worker's
+// view-path run.
 func runConfigs(t *testing.T, name string, spec Spec) {
 	t.Helper()
 	base := spec
 	base.Workers = 1
-	base.Backend = BackendBuilder
+	base.NoKernels = true
 	want, err := Run(context.Background(), base)
 	if err != nil {
-		t.Fatalf("%s builder: %v", name, err)
+		t.Fatalf("%s view path: %v", name, err)
 	}
 	for _, workers := range equivWorkerCounts() {
 		for _, noKernels := range []bool{false, true} {
@@ -40,7 +41,7 @@ func runConfigs(t *testing.T, name string, spec Spec) {
 				t.Fatalf("%s workers=%d nokernels=%v: %v", name, workers, noKernels, err)
 			}
 			if !reflect.DeepEqual(want, res) {
-				t.Errorf("%s workers=%d nokernels=%v: aggregates diverge from builder run",
+				t.Errorf("%s workers=%d nokernels=%v: aggregates diverge from the one-worker view path",
 					name, workers, noKernels)
 			}
 		}
@@ -48,8 +49,8 @@ func runConfigs(t *testing.T, name string, spec Spec) {
 }
 
 // TestKernelsOnOffIdentical is the sweep half of the kernel acceptance
-// guarantee: kernels on, kernels off and the builder path produce
-// byte-identical tables at any worker count, across the experiment's graph
+// guarantee: kernels on and kernels off produce byte-identical tables at
+// any worker count, across the experiment's graph
 // families and for every kernel-capable algorithm.
 func TestKernelsOnOffIdentical(t *testing.T) {
 	families := []struct {
@@ -102,7 +103,7 @@ func TestKernelsUniformIdentical(t *testing.T) {
 // tables stay byte-identical.
 func TestKernelsCappedAtlasIdentical(t *testing.T) {
 	base := cycleSpec(41, []int{48}, 6, 2)
-	base.Backend = BackendBuilder
+	base.NoKernels = true
 	want, err := Run(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +115,7 @@ func TestKernelsCappedAtlasIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Error("memory-capped kernel sweep diverged from builder sweep")
+		t.Error("memory-capped kernel sweep diverged from the view-path sweep")
 	}
 }
 

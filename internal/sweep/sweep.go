@@ -121,18 +121,19 @@ type Spec struct {
 	// a trial check, or the sweep restricted to Trials = 1. A slot keyed by
 	// sizeIdx alone races between the trials that share the size.
 	Observe func(sizeIdx, trial int, g graph.Graph, a ids.Assignment, res *local.Result)
-	// NoKernels pins atlas-backed runs to the per-vertex view path even for
-	// algorithms implementing local.Kernel. By default a kernel-capable
-	// algorithm decides every vertex in one flat pass over the atlas
-	// skeleton; results are byte-identical either way, so the toggle exists
-	// for A/B profiling and perf bisection.
+	// NoKernels pins every run to the per-vertex view path, served by each
+	// worker's ball builder, even for algorithms implementing local.Kernel.
+	// By default a kernel-capable algorithm decides every vertex in one
+	// flat pass over the backend's ball source; results are byte-identical
+	// either way, so the toggle is the kernels' oracle and the A/B switch
+	// for profiling and perf bisection.
 	NoKernels bool
 	// AtlasMemLimit caps each size's atlas memory in bytes: 0 applies
-	// graph.DefaultAtlasMemLimit, negative disables the cap. A capped
-	// atlas transparently degrades to the ball-builder path.
+	// graph.DefaultAtlasMemLimit, negative disables the cap. Vertices a
+	// capped atlas cannot serve run on the ball builder instead.
 	AtlasMemLimit int64
-	// Backend selects how workers source balls: the shared materialised
-	// atlas (default), the per-worker ball builder, or closed-form implicit
+	// Backend selects the ball source of kernel runs: the shared
+	// materialised atlas (the zero value) or closed-form implicit
 	// synthesis for graph.Implicit families — see the Backend constants.
 	// Results are byte-identical across backends for equal seeds; the
 	// implicit backend is what holds sweep memory to O(workers) at
@@ -315,22 +316,18 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 		return nil, err
 	}
 
-	// Resolve the ball-sourcing backend against the built graphs, then pin
-	// the resolved value into the spec copy so EXECUTE never re-derives it.
-	backend, err := resolveBackend(&spec, graphs)
-	if err != nil {
+	if err := validateBackend(spec.Backend, graphs); err != nil {
 		return nil, err
 	}
-	spec.Backend = backend
 
-	// One shared ball atlas per size: BFS layers depend only on the graph,
-	// so all trials and workers reuse them; layers grow lazily inside the
-	// atlas under its own synchronisation, and atlases for comparable
-	// graph values are shared across sweep runs (see atlasFor). The
-	// builder backend runs without them, and the implicit backend replaces
-	// them with per-worker synthesizers attached in runBlock.
+	// One shared ball atlas per size for the kernels: BFS layers depend
+	// only on the graph, so all trials and workers reuse them; layers grow
+	// lazily inside the atlas under its own synchronisation, and atlases
+	// for comparable graph values are shared across sweep runs (see
+	// atlasFor). Runs without kernels need none, and the implicit backend
+	// replaces them with per-worker synthesizers attached in runBlock.
 	atlases := make([]*graph.BallAtlas, len(graphs))
-	if backend == BackendAtlas {
+	if spec.Backend == BackendAtlas && !spec.NoKernels {
 		for i, g := range graphs {
 			atlases[i] = atlasFor(g, spec.AtlasMemLimit)
 		}

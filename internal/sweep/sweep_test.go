@@ -102,11 +102,11 @@ func TestMatchesSequentialLoop(t *testing.T) {
 
 // TestAtlasOnOffIdentical is the atlas acceptance guarantee at the sweep
 // level: the same seed produces byte-identical aggregates with the atlas
-// on, off, and at any worker count — the atlas is purely a throughput
-// optimisation.
+// serving kernels, with no atlas (NoKernels builds none), and at any
+// worker count — the atlas is purely a throughput optimisation.
 func TestAtlasOnOffIdentical(t *testing.T) {
 	base := cycleSpec(17, []int{16, 33, 64}, 7, 1)
-	base.Backend = BackendBuilder
+	base.NoKernels = true
 	want, err := Run(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +127,7 @@ func TestAtlasOnOffIdentical(t *testing.T) {
 // sweep whose atlases exhaust mid-run still emits identical tables.
 func TestAtlasMemLimitFallbackIdentical(t *testing.T) {
 	base := cycleSpec(21, []int{48}, 6, 2)
-	base.Backend = BackendBuilder
+	base.NoKernels = true
 	want, err := Run(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
@@ -143,8 +143,8 @@ func TestAtlasMemLimitFallbackIdentical(t *testing.T) {
 	}
 }
 
-// TestAtlasAcrossFamilies runs the sweep's atlas path over non-ring
-// families (the E9 shapes) against the builder path.
+// TestAtlasAcrossFamilies runs the sweep's kernels over the atlas on
+// non-ring families (the E9 shapes) against the builder view path.
 func TestAtlasAcrossFamilies(t *testing.T) {
 	builders := map[string]func(n int, rng *rand.Rand) (graph.Graph, error){
 		"path": func(n int, _ *rand.Rand) (graph.Graph, error) { return graph.NewPath(n) },
@@ -156,12 +156,12 @@ func TestAtlasAcrossFamilies(t *testing.T) {
 		spec := cycleSpec(5, []int{25}, 4, 3)
 		spec.Graph = build
 		spec.Verify = nil // GNP may be disconnected; skip the ring verifier
-		spec.Backend = BackendBuilder
+		spec.NoKernels = true
 		want, err := Run(context.Background(), spec)
 		if err != nil {
 			t.Fatalf("%s builder: %v", name, err)
 		}
-		spec.Backend = BackendAuto
+		spec.NoKernels = false
 		got, err := Run(context.Background(), spec)
 		if err != nil {
 			t.Fatalf("%s atlas: %v", name, err)
