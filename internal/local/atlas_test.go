@@ -15,7 +15,7 @@ import (
 	"repro/internal/local"
 )
 
-// equivFamilies is the graph zoo of the atlas/builder equivalence suite.
+// equivFamilies is the graph zoo of the atlas and kernel equivalence suites.
 func equivFamilies(t *testing.T) []struct {
 	name string
 	g    graph.Graph
@@ -60,14 +60,15 @@ func sameResult(a, b *local.Result) bool {
 }
 
 // TestRunnerAtlasMatchesBuilder is the engine half of the atlas guarantee:
-// across graph families, sizes and identifier permutations, an atlas-backed
-// Runner produces byte-identical Results to the ball-builder path.
+// across graph families, sizes and identifier permutations, a Runner with
+// an atlas attached (its kernels read the atlas's skeletons) produces
+// byte-identical Results to the ball-builder path.
 func TestRunnerAtlasMatchesBuilder(t *testing.T) {
 	for _, fam := range equivFamilies(t) {
 		n := fam.g.N()
 		atlas := graph.NewBallAtlas(fam.g, 0)
 		runner := local.NewRunner()
-		runner.SetAtlas(atlas)
+		runner.SetSource(atlas)
 		rng := rand.New(rand.NewSource(23))
 		for trial := 0; trial < 8; trial++ {
 			a := ids.Random(n, rng)
@@ -88,15 +89,15 @@ func TestRunnerAtlasMatchesBuilder(t *testing.T) {
 	}
 }
 
-// TestRunnerAtlasMatchesBuilderColouring runs the richer cycle algorithms
-// (Cole–Vishkin, the uniform colouring with its Subview probes, composed
-// MIS) through the atlas path: they exercise Neighbors, Subview and
-// Canonical over shared atlas rows.
+// TestRunnerAtlasMatchesBuilderColouring runs the cycle algorithms through
+// a Runner with an atlas attached: Cole–Vishkin and the uniform colouring
+// run as ring kernels, and composed MIS, which has no kernel, runs on the
+// builder beside the attached atlas.
 func TestRunnerAtlasMatchesBuilderColouring(t *testing.T) {
 	c := graph.MustCycle(48)
 	atlas := graph.NewBallAtlas(c, 0)
 	runner := local.NewRunner()
-	runner.SetAtlas(atlas)
+	runner.SetSource(atlas)
 	rng := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 5; trial++ {
 		a := ids.Random(48, rng)
@@ -127,7 +128,7 @@ func TestRunnerAtlasCapFallback(t *testing.T) {
 	c := graph.MustCycle(96)
 	atlas := graph.NewBallAtlas(c, 2048) // forces mid-sweep exhaustion
 	runner := local.NewRunner()
-	runner.SetAtlas(atlas)
+	runner.SetSource(atlas)
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 4; trial++ {
 		a := ids.Random(96, rng)
@@ -153,7 +154,7 @@ func TestRunnerAtlasCapFallback(t *testing.T) {
 func TestRunnerAtlasWrongGraphIgnored(t *testing.T) {
 	c1, c2 := graph.MustCycle(16), graph.MustCycle(24)
 	runner := local.NewRunner()
-	runner.SetAtlas(graph.NewBallAtlas(c1, 0))
+	runner.SetSource(graph.NewBallAtlas(c1, 0))
 	a := ids.Reversed(24)
 	want, err := local.RunView(c2, a, largestid.Pruning{})
 	if err != nil {
@@ -169,16 +170,19 @@ func TestRunnerAtlasWrongGraphIgnored(t *testing.T) {
 }
 
 // TestRunnerAtlasMaxRadiusError: the safety-cap error must fire at the same
-// point with identical text on both paths.
+// point with identical text with and without an attached atlas, both for
+// an algorithm without a kernel and for a kernel.
 func TestRunnerAtlasMaxRadiusError(t *testing.T) {
 	c := graph.MustCycle(12)
 	a := ids.Identity(12)
 	runner := local.NewRunner()
-	runner.SetAtlas(graph.NewBallAtlas(c, 0))
-	_, wantErr := local.RunView(c, a, neverDecides{}, local.WithMaxRadius(3))
-	_, gotErr := runner.Run(c, a, neverDecides{}, local.WithMaxRadius(3))
-	if wantErr == nil || gotErr == nil || wantErr.Error() != gotErr.Error() {
-		t.Fatalf("cap errors diverge: builder=%v atlas=%v", wantErr, gotErr)
+	runner.SetSource(graph.NewBallAtlas(c, 0))
+	for _, alg := range []local.ViewAlgorithm{neverDecides{}, largestid.FullView{}} {
+		_, wantErr := local.RunView(c, a, alg, local.WithMaxRadius(3))
+		_, gotErr := runner.Run(c, a, alg, local.WithMaxRadius(3))
+		if wantErr == nil || gotErr == nil || wantErr.Error() != gotErr.Error() {
+			t.Fatalf("%s: cap errors diverge: builder=%v atlas=%v", alg.Name(), wantErr, gotErr)
+		}
 	}
 }
 
@@ -205,7 +209,7 @@ func TestRunnerAtlasSharedRace(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			runner := local.NewRunner()
-			runner.SetAtlas(atlas)
+			runner.SetSource(atlas)
 			rng := rand.New(rand.NewSource(seed))
 			for trial := 0; trial < 6; trial++ {
 				a := ids.Random(64, rng)

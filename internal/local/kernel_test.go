@@ -17,50 +17,6 @@ import (
 
 var errMismatch = errors.New("racy run diverged from reference result")
 
-// equivFamilies is the graph zoo of the kernel equivalence suites.
-func equivFamilies(t *testing.T) []struct {
-	name string
-	g    graph.Graph
-} {
-	t.Helper()
-	rng := rand.New(rand.NewSource(19))
-	tree, err := graph.NewRandomTree(40, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	grid, err := graph.NewGrid(5, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gnp, err := graph.NewGNP(32, 0.1, rng) // likely disconnected: component balls
-	if err != nil {
-		t.Fatal(err)
-	}
-	return []struct {
-		name string
-		g    graph.Graph
-	}{
-		{"path", graph.MustPath(33)},
-		{"cycle", graph.MustCycle(32)},
-		{"tree", tree},
-		{"grid", grid},
-		{"gnp", gnp},
-	}
-}
-
-// sameResult compares two executions field by field.
-func sameResult(a, b *local.Result) bool {
-	if a.Algorithm != b.Algorithm || len(a.Outputs) != len(b.Outputs) {
-		return false
-	}
-	for v := range a.Outputs {
-		if a.Outputs[v] != b.Outputs[v] || a.Radii[v] != b.Radii[v] {
-			return false
-		}
-	}
-	return true
-}
-
 // TestKernelMatchesViewPath is the engine half of the kernel guarantee:
 // for every kernel-capable algorithm, one flat DecideAll pass produces
 // byte-identical Results to the per-vertex view path (kernels forced off,
@@ -251,25 +207,5 @@ func TestKernelSharedAtlasRace(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
-	}
-}
-
-// TestRunnerAtlasWrongGraphIgnored: an attached atlas for a different graph
-// must be ignored, not misused.
-func TestRunnerAtlasWrongGraphIgnored(t *testing.T) {
-	c1, c2 := graph.MustCycle(16), graph.MustCycle(24)
-	runner := local.NewRunner()
-	runner.SetSource(graph.NewBallAtlas(c1, 0))
-	a := ids.Reversed(24)
-	want, err := local.RunView(c2, a, largestid.Pruning{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := runner.Run(c2, a, largestid.Pruning{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameResult(got, want) {
-		t.Fatal("mismatched atlas corrupted the run")
 	}
 }
